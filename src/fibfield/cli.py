@@ -124,44 +124,39 @@ def cmd_analyze(args) -> int:
 def _verify_worker(task: tuple[int, str, int, int, int]) -> tuple[int, dict]:
     """Compute one per-prime record; must stay a module-level function so the
     multiprocessing pool can pickle it."""
-    p, mode, P, Q, cap = task
+    p, kind, P, Q, cap = task
     params = RecurrenceParams(P, Q)
-    if mode == "complementary":
-        if p in SPECIAL_PRIMES:
-            payload = {"p": p, "reason": "special prime"}
-            return p, make_record("skip", payload, params, cap)
+    if kind != "verify_lucas" and p in SPECIAL_PRIMES:
+        payload = {"p": p, "reason": "special prime"}
+        return p, make_record("skip", payload, params, cap)
+    if kind == "verify_complementary":
         report = verify_complementary(p)
-        return p, make_record("verify_complementary", report.payload(), params, cap)
-    if params.is_fibonacci:
-        if p in SPECIAL_PRIMES:
-            payload = {"p": p, "reason": "special prime"}
-            return p, make_record("skip", payload, params, cap)
+    elif kind == "verify_main":
         report = verify_main(p, params)
-        return p, make_record("verify_main", report.payload(), params, cap)
-    D = params.discriminant
-    if math.gcd(p, 2 * params.P * params.Q * D) != 1:
+    elif math.gcd(p, 2 * params.P * params.Q * params.discriminant) != 1:
         payload = {"p": p, "reason": "p divides 2*P*Q*(P^2-4Q)"}
         return p, make_record("skip", payload, params, cap)
-    report = verify_lucas(p, params)
-    return p, make_record("verify_lucas", report.payload(), params, cap)
+    else:
+        report = verify_lucas(p, params)
+    return p, make_record(kind, report.payload(), params, cap)
 
 
-def _load_cached(path: str, kind_prefix: str) -> set[int]:
-    done: set[int] = set()
+def _load_cached(path: str, kind: str, params: RecurrenceParams) -> dict[int, dict]:
+    """Records in FILE that a sweep of this kind and these params would write,
+    by p: a main, complementary or Lucas sweep never reuses another's."""
+    done: dict[int, dict] = {}
     try:
         with open(path) as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError:
+                    same = (record["kind"] in ("skip", kind)
+                            and record["config"]["params"] == [params.P, params.Q])
+                    p = record["payload"]["p"]
+                except (ValueError, KeyError, TypeError):
                     continue
-                if str(record.get("kind", "")).startswith(("skip", kind_prefix)):
-                    p = record.get("payload", {}).get("p")
-                    if isinstance(p, int):
-                        done.add(p)
+                if same and isinstance(p, int):
+                    done[p] = record
     except FileNotFoundError:
         pass
     return done
@@ -176,16 +171,19 @@ def cmd_verify(args) -> int:
         print(f"error: range end {args.stop} exceeds cap {cap}", file=sys.stderr)
         return 2
     params = args.params
-    mode = "complementary" if args.complementary else "main"
+    if args.complementary:
+        kind = "verify_complementary"
+    else:
+        kind = "verify_main" if params.is_fibonacci else "verify_lucas"
     if args.complementary and not params.is_fibonacci:
         print("error: --complementary applies to the Fibonacci recurrence only",
               file=sys.stderr)
         return 2
     primes = [p for p in range(max(args.start, 2), args.stop + 1) if is_prime(p)]
-    cached: set[int] = set()
+    cached: dict[int, dict] = {}
     if args.out and not args.force:
-        cached = _load_cached(args.out, "verify")
-    tasks = [(p, mode, params.P, params.Q, cap) for p in primes if p not in cached]
+        cached = _load_cached(args.out, kind, params)
+    tasks = [(p, kind, params.P, params.Q, cap) for p in primes if p not in cached]
     if args.jobs > 1 and len(tasks) > 1:
         with Pool(args.jobs) as pool:
             results = pool.map(_verify_worker, tasks)
@@ -194,8 +192,9 @@ def cmd_verify(args) -> int:
     results.sort(key=lambda pr: pr[0])
 
     out_fh = open(args.out, "a") if args.out else None
-    violations = 0
-    findings = 0
+    # a cached verdict counts as if it had been computed again
+    violations = sum(_is_violation(cached[p]) for p in primes if p in cached)
+    findings = sum(_is_finding(cached[p]) for p in primes if p in cached)
     try:
         for p, record in results:
             line = dumps_record(record)
@@ -206,13 +205,8 @@ def cmd_verify(args) -> int:
                     print(line)
                 else:
                     _print_verify_human(record)
-            payload = record["payload"]
-            if record["kind"] in ("verify_main",) and not payload["consistent"]:
-                violations += 1
-            if record["kind"] == "verify_lucas" and not payload["consistent"]:
-                findings += 1
-            if record["kind"] == "verify_complementary" and not payload["equivalence_23"]:
-                findings += 1
+            violations += _is_violation(record)
+            findings += _is_finding(record)
     finally:
         if out_fh is not None:
             out_fh.close()
@@ -223,6 +217,21 @@ def cmd_verify(args) -> int:
         print(f"FAILURE: {violations} main-theorem inconsistencies", file=sys.stderr)
         return 1
     return 0
+
+
+def _is_violation(record: dict) -> bool:
+    """An inconsistent main-sweep record: the run exits 1."""
+    return record["kind"] == "verify_main" and not record["payload"].get("consistent", True)
+
+
+def _is_finding(record: dict) -> bool:
+    """A report-only discrepancy: a warning on stderr, never exit 1."""
+    payload = record["payload"]
+    if record["kind"] == "verify_lucas":
+        return not payload.get("consistent", True)
+    if record["kind"] == "verify_complementary":
+        return not payload.get("equivalence_23", True)
+    return False
 
 
 def _print_verify_human(record: dict) -> None:
@@ -238,7 +247,12 @@ def _print_verify_human(record: dict) -> None:
               f"star periods at m in {true_ms}")
         return
     true_ms = [m for m, t in payload["conditions"].items() if t["period"]]
-    print(f"p = {p}: consistent = {payload['consistent']}, all-true at m in {true_ms}")
+    line = f"p = {p}: consistent = {payload['consistent']}, all-true at m in {true_ms}"
+    if not payload["consistent"]:
+        bad = [m for m, t in payload["conditions"].items()
+               if not t["powerset"] == t["period"] == t["order"]]
+        line += f", non-uniform at m in {bad}"
+    print(line)
 
 
 # -------------------------------------------------------------- enumerate

@@ -7,7 +7,9 @@ never raise it.
 
 from __future__ import annotations
 
+import functools
 import os
+import sys
 
 # Hard ceiling on any modulus accepted by enumeration operations.
 HARD_CAP = 1 << 20
@@ -32,7 +34,16 @@ def theorem_cap() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_THEOREM_CAP
+        value = 0
     if value < 2:
+        _warn_ignored(raw)
         return DEFAULT_THEOREM_CAP
     return min(value, DEFAULT_THEOREM_CAP)
+
+
+@functools.cache
+def _warn_ignored(raw: str) -> None:
+    """Say once per process and value that FIBFIELD_CAP is ignored; stdout
+    stays canonical."""
+    print(f"warning: ignoring {ENV_CAP_VAR}={raw!r} (not an integer >= 2); "
+          f"using the default cap {DEFAULT_THEOREM_CAP}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .config import HARD_CAP
 from .errors import CapExceeded, InternalInvariantViolation, ModulusMismatch, SingularMatrix
-from .modarith import Factorization, divisors, factorize, is_prime
+from .modarith import Factorization, factorize, least_dividing
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,7 @@ def mat_order(params: RecurrenceParams, N: int) -> int:
     bound = _gl2_exponent_bound(N)
     if mat_pow(B, bound.n) != ident:
         raise InternalInvariantViolation(f"B^{bound.n} != Id mod {N}")
-    t = bound.n
-    for q in bound.primes:
-        while t % q == 0 and mat_pow(B, t // q) == ident:
-            t //= q
-    return t
+    return least_dividing(bound, lambda t: mat_pow(B, t) == ident)
 
 
 @dataclass(frozen=True)
@@ -160,33 +156,32 @@ def generate(seq: SequenceId, count: int) -> list[int]:
 def minimal_period(seq: SequenceId) -> int:
     """Least k >= 1 with B^k (a1,a2)^T = (a1,a2)^T; the zero pair gives 1.
 
-    Checks the divisors of mat_order in increasing order; the direct
-    iteration strategy lives in the test oracles and must agree.
+    The period divides mat_order, so it is found by stripping primes from
+    it; the direct iteration strategy lives in the test oracles and must
+    agree.
     """
     if seq.a1 == 0 and seq.a2 == 0:
         return 1
     B = companion_matrix(seq.params, seq.N)
     v = (seq.a1, seq.a2)
-    for d in divisors(factorize(mat_order(seq.params, seq.N))):
-        if mat_pow(B, d).apply(v) == v:
-            return d
-    raise InternalInvariantViolation(f"no period found for {seq}")
+    return least_dividing(factorize(mat_order(seq.params, seq.N)),
+                          lambda t: mat_pow(B, t).apply(v) == v)
 
 
-def _one_period(seq: SequenceId) -> list[int]:
-    return generate(seq, minimal_period(seq))
+def period_report(seq: SequenceId) -> PeriodReport:
+    """Minimal period, nonvanishing flag and value set from one period of terms."""
+    terms = generate(seq, minimal_period(seq))
+    return PeriodReport(len(terms), 0 not in terms, frozenset(terms))
 
 
 def is_star(seq: SequenceId) -> bool:
     """True iff no term over one minimal period is 0."""
-    if seq.a1 == 0 and seq.a2 == 0:
-        return False
-    return 0 not in _one_period(seq)
+    return period_report(seq).nonvanishing
 
 
 def value_set(seq: SequenceId) -> frozenset[int]:
     """Set of terms over one minimal period."""
-    return frozenset(_one_period(seq))
+    return period_report(seq).value_set
 
 
 def _check_cap(N: int) -> None:
@@ -199,12 +194,12 @@ def _require_invertible(params: RecurrenceParams, N: int) -> None:
         raise SingularMatrix(f"gcd(Q={params.Q}, N={N}) != 1")
 
 
-def sweep_star_orbits(
-    N: int, params: RecurrenceParams = FIBONACCI
-) -> list[tuple[tuple[int, int], int, frozenset[int]]]:
-    """Visit all N^2 - 1 nonzero pairs grouped into orbits under B and return
-    (lexicographically least pair, period, value set) for each zero-free
-    orbit, in deterministic order.
+def _orbits(N: int, params: RecurrenceParams):
+    """Walk all N^2 - 1 nonzero pairs once, grouped into orbits under B.
+
+    Yields (a1 * N + a2 of the orbit's lexicographically least pair, first
+    coordinates over one period) per orbit, in increasing order of that
+    pair: a scan in index order meets each orbit first at its least pair.
     """
     _check_cap(N)
     _require_invertible(params, N)
@@ -212,23 +207,16 @@ def sweep_star_orbits(
     negQ = (-params.Q) % N
     fib_step = P == 1 and negQ == 1
     visited = bytearray(N * N)
-    out = []
     for start in range(1, N * N):
         if visited[start]:
             continue
         a, b = divmod(start, N)
         idx = start
-        rep = start
-        star = True
         values = []
         append = values.append
         while True:
             visited[idx] = 1
-            if idx < rep:
-                rep = idx
             append(a)
-            if a == 0:
-                star = False
             if fib_step:
                 t = a + b
                 if t >= N:
@@ -239,36 +227,25 @@ def sweep_star_orbits(
             idx = a * N + b
             if idx == start:
                 break
-        if star:
-            out.append((divmod(rep, N), len(values), frozenset(values)))
-    out.sort(key=lambda item: item[0])
-    return out
+        yield start, values
+
+
+def sweep_star_orbits(
+    N: int, params: RecurrenceParams = FIBONACCI
+) -> list[tuple[tuple[int, int], int, frozenset[int]]]:
+    """(lexicographically least pair, period, value set) of each zero-free
+    orbit of nonzero pairs under B, in order of the least pair."""
+    return [
+        (divmod(rep, N), len(values), frozenset(values))
+        for rep, values in _orbits(N, params)
+        if 0 not in values
+    ]
 
 
 def orbit_sizes(N: int, params: RecurrenceParams = FIBONACCI) -> list[int]:
     """Sizes of all orbits of nonzero pairs (star or not); they partition the
     N^2 - 1 nonzero pairs."""
-    _check_cap(N)
-    _require_invertible(params, N)
-    P = params.P % N
-    negQ = (-params.Q) % N
-    visited = bytearray(N * N)
-    sizes = []
-    for start in range(1, N * N):
-        if visited[start]:
-            continue
-        a, b = divmod(start, N)
-        idx = start
-        size = 0
-        while True:
-            visited[idx] = 1
-            size += 1
-            a, b = b, (P * b + negQ * a) % N
-            idx = a * N + b
-            if idx == start:
-                break
-        sizes.append(size)
-    return sizes
+    return [len(values) for _, values in _orbits(N, params)]
 
 
 def enumerate_star(

@@ -13,10 +13,11 @@ modulus explicitly.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .config import INT_WIDTH_CAP
-from .errors import BadDivisor, BadGroupOrder, NotInvertible
+from .errors import BadDivisor, BadGroupOrder, InternalInvariantViolation, NotInvertible
 
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -169,22 +170,30 @@ def divisors(f: Factorization) -> list[int]:
     return sorted(divs)
 
 
-def multiplicative_order(a: int, n: int, group_order: int) -> int:
-    """Least t >= 1 with a^t = 1 mod n, given a multiple of the order.
+def least_dividing(f: Factorization, holds: Callable[[int], bool]) -> int:
+    """Least t | f.n with holds(t), by stripping primes from f.n.
 
-    Computed by factoring group_order and stripping primes, never by naive
-    iteration (the naive loop lives in the test oracles).
+    holds(f.n) must be true, and the divisors of f.n that satisfy holds must
+    be exactly the multiples of one of them, as for x^t = 1 (t a multiple of
+    the order of x) or B^t v = v (t a multiple of the period of v).  Every
+    order and period in fibfield is computed here; the naive loops live in
+    the test oracles.
     """
+    t = f.n
+    for p in f.primes:
+        while t % p == 0 and holds(t // p):
+            t //= p
+    return t
+
+
+def multiplicative_order(a: int, n: int, group_order: int) -> int:
+    """Least t >= 1 with a^t = 1 mod n, given a multiple of the order."""
     a %= n
     if math.gcd(a, n) != 1:
         raise NotInvertible(f"gcd({a}, {n}) != 1")
     if pow(a, group_order, n) != 1:
         raise BadGroupOrder(f"{a}^{group_order} != 1 mod {n}")
-    t = group_order
-    for p in factorize(group_order).primes:
-        while t % p == 0 and pow(a, t // p, n) == 1:
-            t //= p
-    return t
+    return least_dividing(factorize(group_order), lambda t: pow(a, t, n) == 1)
 
 
 def legendre(a: int, p: int) -> int:
@@ -232,5 +241,6 @@ def power_subgroup(p: int, r: int) -> set[int]:
     if (p - 1) % r != 0:
         raise BadDivisor(f"{r} does not divide {p - 1}")
     sub = {pow(a, r, p) for a in range(1, p)}
-    assert len(sub) == (p - 1) // r
+    if len(sub) != (p - 1) // r:
+        raise InternalInvariantViolation(f"{len(sub)} {r}-th powers mod {p}, not {(p - 1) // r}")
     return sub

@@ -21,7 +21,7 @@ from .errors import (
     SplitContext,
     ZeroElement,
 )
-from .modarith import factorize, is_prime, legendre
+from .modarith import factorize, is_prime, least_dividing, legendre
 
 
 @dataclass(frozen=True)
@@ -138,14 +138,10 @@ def ext_order(x: QuadElement) -> int:
     if x.is_zero():
         raise ZeroElement("order of 0 is undefined")
     group = x.ctx.p * x.ctx.p - 1
-    t = group
-    acc = q_pow(x, group)
-    if acc != x.ctx.one():
+    one = x.ctx.one()
+    if q_pow(x, group) != one:
         raise InternalInvariantViolation(f"{x}^{group} != 1")
-    for q in factorize(group).primes:
-        while t % q == 0 and q_pow(x, t // q) == x.ctx.one():
-            t //= q
-    return t
+    return least_dividing(factorize(group), lambda t: q_pow(x, t) == one)
 
 
 def n_pm_contains(x: QuadElement) -> bool:
@@ -159,7 +155,7 @@ _generator_cache: dict[QuadContext, QuadElement] = {}
 
 def field_generator(ctx: QuadContext) -> QuadElement:
     """A multiplicative generator of F_{p^2}^x, found by seeded random search
-    and certified against the factorization of p^2 - 1."""
+    and certified by its order p^2 - 1."""
     ctx.require_inert()
     cached = _generator_cache.get(ctx)
     if cached is not None:
@@ -168,13 +164,9 @@ def field_generator(ctx: QuadContext) -> QuadElement:
 
     rng = random.Random(GENERATOR_SEED)
     p = ctx.p
-    group = p * p - 1
-    primes = factorize(group).primes
     while True:
         g = ctx.element(rng.randrange(p), rng.randrange(p))
-        if g.is_zero():
-            continue
-        if all(q_pow(g, group // q) != ctx.one() for q in primes):
+        if not g.is_zero() and ext_order(g) == p * p - 1:
             _generator_cache[ctx] = g
             return g
 
@@ -200,5 +192,8 @@ def n_pm_power_subgroup(ctx: QuadContext, k: int) -> set[QuadElement]:
     for _ in range(size // k):
         sub.add(acc)
         acc = q_mul(acc, h)
-    assert acc == ctx.one() and len(sub) == size // k
+    if acc != ctx.one() or len(sub) != size // k:
+        raise InternalInvariantViolation(
+            f"generator^{k} does not have order {size // k} mod {ctx.p}"
+        )
     return sub

@@ -22,7 +22,14 @@ import math
 from dataclasses import dataclass, field
 
 from .config import theorem_cap
-from .errors import BadDivisor, BadPrime, CapExceeded, DegenerateDiscriminant, SpecialPrime
+from .errors import (
+    BadDivisor,
+    BadPrime,
+    CapExceeded,
+    DegenerateDiscriminant,
+    InternalInvariantViolation,
+    SpecialPrime,
+)
 from .fibseq import (
     FIBONACCI,
     PeriodReport,
@@ -68,9 +75,9 @@ def splitting_type(p: int, params: RecurrenceParams = FIBONACCI) -> str:
     """'split' iff the characteristic polynomial has its roots in F_p."""
     _check_prime(p, params)
     split = legendre(params.discriminant, p) == 1
-    if params.is_fibonacci:
+    if params.is_fibonacci and split != (p % 5 in (1, 4)):
         # independent check via the residue of p mod 5
-        assert split == (p % 5 in (1, 4))
+        raise InternalInvariantViolation(f"Legendre symbol disagrees with p mod 5 at p = {p}")
     return "split" if split else "inert"
 
 
@@ -105,7 +112,8 @@ def eigen_data(p: int, params: RecurrenceParams = FIBONACCI) -> EigenData:
     kind = splitting_type(p, params)
     if kind == "split":
         roots = sqrt_mod(params.discriminant % p, p)
-        assert roots is not None
+        if roots is None:
+            raise InternalInvariantViolation(f"split p = {p} but no square root of D")
         r = roots[0]
         inv2 = mod_inv(2, p)
         phi = (params.P + r) * inv2 % p
@@ -301,19 +309,25 @@ def check_eigen_invariants(p: int, params: RecurrenceParams = FIBONACCI) -> Eige
     """
     ed = eigen_data(p, params)
     if ed.splitting == "split":
-        assert (ed.phi + ed.phi_prime) % p == params.P % p
-        assert (ed.phi * ed.phi_prime) % p == params.Q % p
+        _check((ed.phi + ed.phi_prime) % p == params.P % p, "trace", p)
+        _check((ed.phi * ed.phi_prime) % p == params.Q % p, "norm", p)
         if params.is_fibonacci:
-            assert ed.phi * ed.phi_prime % p == p - 1  # phi' = -phi^{-1}
+            _check(ed.phi * ed.phi_prime % p == p - 1, "phi' = -phi^{-1}", p)
     else:
         from .quadext import q_mul
 
         s = (ed.phi.c0 + ed.phi_prime.c0) % p, (ed.phi.c1 + ed.phi_prime.c1) % p
-        assert s == (params.P % p, 0)
+        _check(s == (params.P % p, 0), "trace", p)
         prod = q_mul(ed.phi, ed.phi_prime)
-        assert (prod.c0, prod.c1) == (params.Q % p, 0)
-    assert (2 * ed.l) % ed.l_prime == 0
-    assert (2 * ed.l_prime) % ed.l == 0
-    assert ed.M1 in (ed.M0, 2 * ed.M0)
-    assert mat_order(params, p) == ed.M1
+        _check((prod.c0, prod.c1) == (params.Q % p, 0), "norm", p)
+    _check((2 * ed.l) % ed.l_prime == 0, "l' | 2l", p)
+    _check((2 * ed.l_prime) % ed.l == 0, "l | 2l'", p)
+    _check(ed.M1 in (ed.M0, 2 * ed.M0), "M1 in {M0, 2 M0}", p)
+    _check(mat_order(params, p) == ed.M1, "mat_order = M1", p)
     return ed
+
+
+def _check(ok: bool, what: str, p: int) -> None:
+    """Raise AssertionError even under python -O, where assert is stripped."""
+    if not ok:
+        raise AssertionError(f"{what} fails at p = {p}")

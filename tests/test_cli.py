@@ -112,6 +112,21 @@ class TestVerify:
         assert run_cli("verify", "19", "29", "--json",
                        env_extra={"FIBFIELD_CAP": "30"}).returncode == 0
 
+    def test_env_cap_ignored_warns_once(self):
+        plain = run_cli("verify", "19", "29", "--json")
+        assert "FIBFIELD_CAP" not in plain.stderr
+        for raw in ("abc", "1"):
+            r = run_cli("verify", "19", "29", "--json", env_extra={"FIBFIELD_CAP": raw})
+            assert (r.returncode, r.stdout) == (0, plain.stdout)
+            assert r.stderr.count("FIBFIELD_CAP") == 1
+
+    def test_human_line_names_nonuniform_m(self):
+        r = run_cli("verify", "11", "13")
+        assert r.returncode == 1
+        lines = r.stdout.splitlines()
+        assert "non-uniform" not in lines[0]
+        assert lines[1].endswith("non-uniform at m in ['12']")
+
     def test_complementary_findings_are_warnings(self):
         r = run_cli("verify", "7", "7", "--complementary", "--json")
         assert r.returncode == 0
@@ -156,6 +171,32 @@ class TestOutCaching:
         assert second.startswith(first)
         new_ps = [json.loads(line)["payload"]["p"] for line in second.splitlines()[4:]]
         assert new_ps == [37, 41, 43]
+
+    def test_lucas_after_main_not_skipped(self, tmp_path):
+        out = tmp_path / "cache.jsonl"
+        run_cli("verify", "3", "30", "--out", str(out))
+        r = run_cli("verify", "3", "30", "--lucas", "3,1", "--out", str(out), "--json")
+        assert r.returncode == 0
+        assert r.stdout == run_cli("verify", "3", "30", "--lucas", "3,1", "--json").stdout
+
+    def test_complementary_after_main_not_skipped(self, tmp_path):
+        out = tmp_path / "cache.jsonl"
+        run_cli("verify", "3", "30", "--out", str(out))
+        r = run_cli("verify", "3", "30", "--complementary", "--out", str(out), "--json")
+        assert r.returncode == 0
+        # the skip record of p = 5 is the same in both sweeps, so it is reused
+        fresh = records(run_cli("verify", "3", "30", "--complementary", "--json").stdout)
+        assert records(r.stdout) == [rec for rec in fresh if rec["kind"] != "skip"]
+        assert len(records(r.stdout)) == 8
+
+    def test_cached_failure_still_exits_1(self, tmp_path):
+        out = tmp_path / "cache.jsonl"
+        assert run_cli("verify", "3", "30", "--out", str(out)).returncode == 1
+        first = out.read_text()
+        r = run_cli("verify", "3", "30", "--out", str(out))
+        assert (r.returncode, r.stdout) == (1, "")
+        assert out.read_text() == first
+        assert run_cli("verify", "19", "30", "--out", str(out)).returncode == 0
 
     def test_force_recomputes(self, tmp_path):
         out = tmp_path / "cache.jsonl"

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fibfield.errors import CapExceeded, ModulusMismatch, SingularMatrix
@@ -21,12 +21,14 @@ from fibfield.fibseq import (
     mat_pow,
     minimal_period,
     orbit_sizes,
+    period_report,
+    sweep_star_orbits,
     value_set,
 )
 from fibfield.modarith import multiplicative_order, power_subgroup
 from fibfield.theorem import eigen_data
 
-from conftest import naive_period, primes_upto
+from conftest import naive_orbits, naive_period, primes_upto
 
 
 def naive_mat_order(params, N):
@@ -141,6 +143,14 @@ class TestMinimalPeriod:
             return
         assert minimal_period(SequenceId(N, a1, a2, FIBONACCI)) == naive_period(N, a1, a2)
 
+    @given(st.integers(2, 40), st.integers(-40, 40), st.integers(-40, 40),
+           st.integers(0, 39), st.integers(0, 39))
+    @settings(max_examples=100, deadline=None)
+    def test_iteration_oracle_lucas_property(self, N, P, Q, a1, a2):
+        assume(math.gcd(Q, N) == 1 and (a1 % N, a2 % N) != (0, 0))
+        seq = SequenceId(N, a1, a2, RecurrenceParams(P, Q))
+        assert minimal_period(seq) == naive_period(N, a1, a2, P, Q)
+
 
 class TestStarAndValues:
     def test_examples(self):
@@ -188,6 +198,7 @@ class TestEnumerateStar:
                 assert minimal_period(seq) == rep.minimal_period
                 assert is_star(seq)
                 assert value_set(seq) == rep.value_set
+                assert period_report(seq) == rep
 
     def test_representative_is_lexicographically_least(self):
         for seq, rep in enumerate_star(13):
@@ -197,6 +208,20 @@ class TestEnumerateStar:
                 orbit_pairs.add((a, b))
                 a, b = b, (a + b) % 13
             assert (seq.a1, seq.a2) == min(orbit_pairs)
+
+    @given(st.integers(2, 40), st.integers(-40, 40), st.integers(-40, 40))
+    @settings(max_examples=60, deadline=None)
+    @example(13, 1, -1)
+    @example(20, 1, -1)
+    def test_orbit_walk_oracle_property(self, N, P, Q):
+        # covers both the Fibonacci add-and-compare step and the generic step
+        assume(math.gcd(Q, N) == 1)
+        params = RecurrenceParams(P, Q)
+        orbits = naive_orbits(N, P, Q)
+        assert orbit_sizes(N, params) == [len(o) for o in orbits]
+        assert sweep_star_orbits(N, params) == [
+            ((o[0], o[1 % len(o)]), len(o), frozenset(o)) for o in orbits if 0 not in o
+        ]
 
     def test_partition(self):
         for N in (2, 3, 5, 7, 10, 11, 13, 31, 40):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibfield.errors import BadDivisor, BadGroupOrder, NotInvertible
+from fibfield.errors import BadDivisor, BadGroupOrder, InternalInvariantViolation, NotInvertible
 from fibfield.modarith import (
     MILLER_RABIN_BASES,
     Factorization,
     divisors,
     factorize,
     is_prime,
+    least_dividing,
     legendre,
     mod_inv,
     mod_pow,
@@ -135,6 +136,19 @@ class TestDivisors:
         assert divisors(factorize(n)) == [d for d in range(1, n + 1) if n % d == 0]
 
 
+class TestLeastDividing:
+    def test_known(self):
+        f = factorize(360)
+        assert least_dividing(f, lambda t: t % 12 == 0) == 12
+        assert least_dividing(f, lambda t: True) == 1
+        assert least_dividing(f, lambda t: t == 360) == 360
+
+    @given(st.integers(1, 10**6), st.integers(1, 10**6))
+    def test_multiples_of_a_divisor(self, n, k):
+        d = math.gcd(n, k)
+        assert least_dividing(factorize(n), lambda t: t % d == 0) == d
+
+
 class TestMultiplicativeOrder:
     def test_identity(self):
         assert multiplicative_order(1, 17, 16) == 1
@@ -219,6 +233,11 @@ class TestPowerSubgroup:
     def test_bad_divisor(self):
         with pytest.raises(BadDivisor):
             power_subgroup(11, 3)
+
+    def test_composite_modulus_caught(self):
+        # the squares mod 15 are {1, 4, 6, 9, 10}, not a subgroup of order 7
+        with pytest.raises(InternalInvariantViolation):
+            power_subgroup(15, 2)
 
     def test_sizes(self):
         for p in primes_upto(500):

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from fibfield.errors import BadPrime, DegenerateDiscriminant, SpecialPrime
@@ -66,6 +70,19 @@ class TestEigenData:
             ed = check_eigen_invariants(p)
             B = companion_matrix(FIBONACCI, p)
             assert mat_pow(B, ed.M1) == Mat2.identity(p)
+
+    def test_invariant_failure_raises_under_optimize(self):
+        # check_eigen_invariants must not rely on assert, which python -O strips
+        code = textwrap.dedent("""
+            import fibfield.theorem as theorem
+            theorem.mat_order = lambda params, N: 1
+            try:
+                theorem.check_eigen_invariants(11)
+            except AssertionError as exc:
+                print("raised", exc)
+        """)
+        r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert r.stdout == "raised mat_order = M1 fails at p = 11\n", r.stderr
 
     def test_root_choice_immaterial(self):
         # the order condition only sees the unordered pair of orders
