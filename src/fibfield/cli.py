@@ -24,7 +24,16 @@ from multiprocessing import Pool
 
 from .config import GENERATOR_SEED, theorem_cap
 from .errors import FibfieldError
-from .fibseq import FIBONACCI, RecurrenceParams, SequenceId, is_star, minimal_period, value_set
+from .fibseq import (
+    FIBONACCI,
+    RecurrenceParams,
+    SequenceId,
+    enumerate_star,
+    is_star,
+    mat_order,
+    minimal_period,
+    value_set,
+)
 from .modarith import is_prime
 from .theorem import (
     SPECIAL_PRIMES,
@@ -89,8 +98,6 @@ def cmd_analyze(args) -> int:
                       f"values {orbit['values']}")
         return 0
     ed = eigen_data(p, params)
-    from .fibseq import mat_order
-
     if ed.splitting == "split":
         phi, phi_prime = ed.phi, ed.phi_prime
     else:
@@ -259,8 +266,6 @@ def _print_verify_human(record: dict) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    from .fibseq import enumerate_star
-
     params = args.params
     reports = enumerate_star(args.N, params)
     payload = {"N": args.N, "orbits": _orbit_payloads(reports)}

@@ -20,7 +20,8 @@ DEFAULT_THEOREM_CAP = 4096
 # All public inputs must fit in signed 62-bit so products stay exact.
 INT_WIDTH_CAP = 1 << 62
 
-# Seed for the randomized generator search in F_{p^2}^x (recorded in reports).
+# Kept in every record's config block for format stability (schema_version 1);
+# it drives no computation.
 GENERATOR_SEED = 0x5EED
 
 ENV_CAP_VAR = "FIBFIELD_CAP"

@@ -129,6 +129,7 @@ class SequenceId:
     params: RecurrenceParams
 
     def __post_init__(self):
+        _check_modulus(self.N)
         object.__setattr__(self, "a1", self.a1 % self.N)
         object.__setattr__(self, "a2", self.a2 % self.N)
 
@@ -184,6 +185,11 @@ def value_set(seq: SequenceId) -> frozenset[int]:
     return period_report(seq).value_set
 
 
+def _check_modulus(N: int) -> None:
+    if N < 1:
+        raise ValueError(f"modulus N = {N} must be at least 1")
+
+
 def _check_cap(N: int) -> None:
     if N > HARD_CAP:
         raise CapExceeded(f"N = {N} exceeds the enumeration cap {HARD_CAP}")
@@ -201,6 +207,7 @@ def _orbits(N: int, params: RecurrenceParams):
     coordinates over one period) per orbit, in increasing order of that
     pair: a scan in index order meets each orbit first at its least pair.
     """
+    _check_modulus(N)
     _check_cap(N)
     _require_invertible(params, N)
     P = params.P % N

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import GENERATOR_SEED
 from .errors import (
-    BadDivisor,
     ContextMismatch,
     InternalInvariantViolation,
     SplitContext,
@@ -148,52 +146,3 @@ def n_pm_contains(x: QuadElement) -> bool:
     """True iff Nr(x) = +-1, i.e. x lies in the norm subgroup of size 2(p+1)."""
     x.ctx.require_inert()
     return norm(x) in (1, x.ctx.p - 1)
-
-
-_generator_cache: dict[QuadContext, QuadElement] = {}
-
-
-def field_generator(ctx: QuadContext) -> QuadElement:
-    """A multiplicative generator of F_{p^2}^x, found by seeded random search
-    and certified by its order p^2 - 1."""
-    ctx.require_inert()
-    cached = _generator_cache.get(ctx)
-    if cached is not None:
-        return cached
-    import random
-
-    rng = random.Random(GENERATOR_SEED)
-    p = ctx.p
-    while True:
-        g = ctx.element(rng.randrange(p), rng.randrange(p))
-        if not g.is_zero() and ext_order(g) == p * p - 1:
-            _generator_cache[ctx] = g
-            return g
-
-
-def n_pm_generator(ctx: QuadContext) -> QuadElement:
-    """An element of exact order 2(p+1), generating {x : Nr(x) = +-1}."""
-    g = field_generator(ctx)
-    e = q_pow(g, (ctx.p - 1) // 2)
-    if ext_order(e) != 2 * (ctx.p + 1):
-        raise InternalInvariantViolation("norm-subgroup generator certification failed")
-    return e
-
-
-def n_pm_power_subgroup(ctx: QuadContext, k: int) -> set[QuadElement]:
-    """{e^k : e in N_pm}: the cyclic subgroup of order 2(p+1)/k."""
-    ctx.require_inert()
-    size = 2 * (ctx.p + 1)
-    if size % k != 0:
-        raise BadDivisor(f"{k} does not divide {size}")
-    h = q_pow(n_pm_generator(ctx), k)
-    sub = set()
-    acc = ctx.one()
-    for _ in range(size // k):
-        sub.add(acc)
-        acc = q_mul(acc, h)
-    if acc != ctx.one() or len(sub) != size // k:
-        raise InternalInvariantViolation(
-            f"generator^{k} does not have order {size // k} mod {ctx.p}"
-        )
-    return sub

@@ -9,11 +9,12 @@ a zero-free orbit of period 2(p+1) covers all of F_p^x; the CLI treats it
 as a hard failure (exit 1) either way.
 
 verify_complementary does the analogous sweep over divisors of 2(p+1) for
-the norm-subgroup statement, but only *reports* the verdicts: the item-(1)
-subgroup of F_{p^2}^x usually leaves the base field (recorded as
-"inapplicable"), and there are small primes with no zero-free sequence at
-all where the order condition is still satisfiable, so nothing here is
-asserted as a theorem.
+the norm-subgroup statement, but only *reports* the verdicts.  F_{p^2}^x is
+cyclic and F_p^x is its only subgroup of order p-1, so the item-(1)
+subgroup of order m lies in F_p exactly when m | p-1; for every other m the
+value-set reading is recorded as "inapplicable".  There are small primes
+with no zero-free sequence at all where the order condition is still
+satisfiable, so nothing here is asserted as a theorem.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 
 from .config import theorem_cap
 from .errors import (
-    BadDivisor,
     BadPrime,
     CapExceeded,
     DegenerateDiscriminant,
@@ -35,6 +35,7 @@ from .fibseq import (
     PeriodReport,
     RecurrenceParams,
     SequenceId,
+    enumerate_star,
     mat_order,
     sweep_star_orbits,
 )
@@ -48,7 +49,7 @@ from .modarith import (
     power_subgroup,
     sqrt_mod,
 )
-from .quadext import QuadContext, QuadElement, conjugate, ext_order
+from .quadext import QuadContext, QuadElement, conjugate, ext_order, q_mul
 
 SPECIAL_PRIMES = (2, 5)
 
@@ -137,17 +138,9 @@ def _star_orbits(p: int, params: RecurrenceParams):
     return sweep_star_orbits(p, params)
 
 
-def cond_period(p: int, m: int, params: RecurrenceParams = FIBONACCI) -> bool:
-    """Some zero-free orbit has minimal period exactly m (brute force)."""
-    return any(period == m for _, period, _ in _star_orbits(p, params))
-
-
-def cond_powerset(p: int, m: int, params: RecurrenceParams = FIBONACCI) -> bool:
-    """Some zero-free orbit's value set equals the m-element power subgroup."""
-    if (p - 1) % m != 0:
-        raise BadDivisor(f"m = {m} does not divide p - 1 = {p - 1}")
-    target = frozenset(power_subgroup(p, (p - 1) // m))
-    return any(values == target for _, _, values in _star_orbits(p, params))
+def _powerset_holds(p: int, m: int, value_sets: set[frozenset[int]]) -> bool:
+    """Some zero-free value set equals the order-m subgroup of F_p^x (m | p-1)."""
+    return frozenset(power_subgroup(p, (p - 1) // m)) in value_sets
 
 
 @dataclass(frozen=True)
@@ -199,9 +192,8 @@ def verify_main(p: int, params: RecurrenceParams = FIBONACCI) -> MainReport:
     value_sets = {values for _, _, values in orbits}
     triples: dict[int, ConditionTriple] = {}
     for m in divisors(factorize(p - 1)):
-        target = frozenset(power_subgroup(p, (p - 1) // m))
         triples[m] = ConditionTriple(
-            cond_powerset=target in value_sets,
+            cond_powerset=_powerset_holds(p, m, value_sets),
             cond_period=m in periods,
             cond_order=cond_order(ed, m),
         )
@@ -255,7 +247,12 @@ class ComplementaryReport:
 def verify_complementary(p: int) -> ComplementaryReport:
     """Record, per m | 2(p+1), the period condition (brute force), the
     inert-order condition, and the literal value-set reading of the norm
-    subgroup statement.  Never asserts the equivalence."""
+    subgroup statement.  Never asserts the equivalence.
+
+    For inert p the order-m subgroup of the norm subgroup lies in F_p iff
+    m | p-1, and is then the order-m subgroup of F_p^x; the value-set
+    reading is tested only there and is "inapplicable" otherwise.
+    """
     if p in SPECIAL_PRIMES:
         raise SpecialPrime(f"p = {p}: use special_case_report")
     params = FIBONACCI
@@ -264,10 +261,6 @@ def verify_complementary(p: int) -> ComplementaryReport:
     periods = {period for _, period, _ in orbits}
     value_sets = {values for _, _, values in orbits}
     inert = ed.splitting == "inert"
-    if inert:
-        from .quadext import n_pm_power_subgroup
-
-        ctx = ed.phi.ctx
     size = 2 * (p + 1)
     entries: dict[int, ComplementaryEntry] = {}
     notes: list[str] = []
@@ -275,11 +268,8 @@ def verify_complementary(p: int) -> ComplementaryReport:
         period_ok = m in periods
         order_ok = inert and (ed.l == m or ed.l_prime == m)
         powerset: bool | str = INAPPLICABLE
-        if inert:
-            sub = n_pm_power_subgroup(ctx, size // m)
-            if all(x.c1 == 0 for x in sub):
-                embedded = frozenset(x.c0 for x in sub)
-                powerset = embedded in value_sets
+        if inert and (p - 1) % m == 0:
+            powerset = _powerset_holds(p, m, value_sets)
         if powerset == INAPPLICABLE and (period_ok or order_ok):
             notes.append(f"m={m}: item-(1) subgroup leaves F_p, recorded inapplicable")
         if period_ok != order_ok:
@@ -295,8 +285,6 @@ def special_case_report(
     """Concrete zero-free orbit listing for the excluded primes 2 and 5."""
     if p not in SPECIAL_PRIMES:
         raise BadPrime(f"p = {p} is not a special prime (2 or 5)")
-    from .fibseq import enumerate_star
-
     return enumerate_star(p, params)
 
 
@@ -314,8 +302,6 @@ def check_eigen_invariants(p: int, params: RecurrenceParams = FIBONACCI) -> Eige
         if params.is_fibonacci:
             _check(ed.phi * ed.phi_prime % p == p - 1, "phi' = -phi^{-1}", p)
     else:
-        from .quadext import q_mul
-
         s = (ed.phi.c0 + ed.phi_prime.c0) % p, (ed.phi.c1 + ed.phi_prime.c1) % p
         _check(s == (params.P % p, 0), "trace", p)
         prod = q_mul(ed.phi, ed.phi_prime)

@@ -81,6 +81,25 @@ class TestPeriod:
         assert not rec["payload"]["star"]
 
 
+class TestModulus:
+    @pytest.mark.parametrize("argv", [
+        ("period", "0", "1", "1"),
+        ("period", "-5", "1", "2"),
+        ("enumerate", "0"),
+        ("enumerate", "-3"),
+    ])
+    def test_below_one_rejected(self, argv):
+        r = run_cli(*argv)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith(f"error: modulus N = {argv[1]} must be at least 1")
+
+    def test_one_accepted(self):
+        (rec,) = records(run_cli("period", "1", "1", "1", "--json").stdout)
+        assert rec["payload"]["period"] == 1
+        (rec,) = records(run_cli("enumerate", "1", "--json").stdout)
+        assert rec["payload"]["orbits"] == []
+
+
 class TestVerify:
     def test_consistent_range(self):
         r = run_cli("verify", "19", "43", "--json")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibfield.errors import BadDivisor, ContextMismatch, SplitContext, ZeroElement
+from fibfield.errors import ContextMismatch, SplitContext, ZeroElement
 from fibfield.modarith import legendre
 from fibfield.quadext import (
     QuadContext,
@@ -12,8 +12,6 @@ from fibfield.quadext import (
     ext_order,
     fibonacci_context,
     n_pm_contains,
-    n_pm_generator,
-    n_pm_power_subgroup,
     norm,
     q_mul,
     q_pow,
@@ -163,35 +161,6 @@ class TestExtOrder:
                 t = ext_order(x)
                 assert (p * p - 1) % t == 0
                 assert t == naive_ext_order(x)
-
-
-class TestNormSubgroup:
-    def test_generator_order(self):
-        for p in (3, 7, 13, 23, 43):
-            ctx = fibonacci_context(p)
-            assert ext_order(n_pm_generator(ctx)) == 2 * (p + 1)
-
-    def test_trivial_subgroup(self):
-        ctx = fibonacci_context(7)
-        assert n_pm_power_subgroup(ctx, 16) == {ctx.one()}
-
-    def test_order_two_subgroup(self):
-        ctx = fibonacci_context(7)
-        assert n_pm_power_subgroup(ctx, 8) == {ctx.one(), ctx.element(6, 0)}
-
-    def test_full_norm_subgroup_vs_exhaustive_scan(self):
-        ctx = fibonacci_context(7)
-        scanned = {x for x in all_elements(ctx) if not x.is_zero() and n_pm_contains(x)}
-        assert len(scanned) == 16
-        assert n_pm_power_subgroup(ctx, 1) == scanned
-
-    def test_bad_divisor(self):
-        with pytest.raises(BadDivisor):
-            n_pm_power_subgroup(fibonacci_context(7), 3)
-
-    def test_split_refused(self):
-        with pytest.raises(SplitContext):
-            n_pm_generator(fibonacci_context(11))
 
 
 class TestContext:

@@ -6,11 +6,10 @@ import pytest
 
 from fibfield.errors import BadPrime, DegenerateDiscriminant, SpecialPrime
 from fibfield.fibseq import FIBONACCI, RecurrenceParams, mat_order, mat_pow, companion_matrix, Mat2
+from fibfield.quadext import ext_order, fibonacci_context
 from fibfield.theorem import (
     check_eigen_invariants,
     cond_order,
-    cond_period,
-    cond_powerset,
     eigen_data,
     special_case_report,
     splitting_type,
@@ -101,14 +100,16 @@ class TestConditions:
         assert not any(cond_order(ed7, m) for m in (1, 2, 3, 6, 16))
 
     def test_cond_period(self):
-        assert cond_period(11, 5)
-        assert not cond_period(11, 2)
-        assert not cond_period(7, 16)
+        triples = verify_main(11).triples
+        assert triples[5].cond_period
+        assert not triples[2].cond_period
+        assert not verify_complementary(7).entries[16].cond_period
 
     def test_cond_powerset(self):
-        assert cond_powerset(11, 5)
-        assert cond_powerset(11, 10)  # F_{1,8} covers all of F_11^x
-        assert not cond_powerset(11, 1)  # no constant nonzero sequence
+        triples = verify_main(11).triples
+        assert triples[5].cond_powerset
+        assert triples[10].cond_powerset  # F_{1,8} covers all of F_11^x
+        assert not triples[1].cond_powerset  # no constant nonzero sequence
 
 
 class TestVerifyMain:
@@ -196,6 +197,28 @@ class TestVerifyComplementary:
         r = verify_complementary(11)
         assert all(e.cond_powerset_interp_a == "inapplicable" for e in r.entries.values())
         assert not any(e.cond_order for e in r.entries.values())
+
+    @pytest.mark.parametrize("p", [3, 7, 13, 17, 23])  # every inert p <= 23
+    def test_powerset_vs_scanned_subgroups(self, p):
+        # the order-m subgroup of F_{p^2}^x, found by scanning every nonzero
+        # element, either leaves F_p (inapplicable) or is a set of residues
+        # that must be a zero-free value set exactly when the sweep says so
+        ctx = fibonacci_context(p)
+        units = [ctx.element(c0, c1) for c0 in range(p) for c1 in range(p)
+                 if (c0, c1) != (0, 0)]
+        orders = [ext_order(x) for x in units]
+        value_sets = {frozenset(terms) for terms in naive_orbits(p) if 0 not in terms}
+        entries = verify_complementary(p).entries
+        size = 2 * (p + 1)
+        assert set(entries) == {m for m in range(1, size + 1) if size % m == 0}
+        for m, entry in entries.items():
+            sub = [x for x, t in zip(units, orders) if m % t == 0]
+            assert len(sub) == m
+            if any(x.c1 != 0 for x in sub):
+                expected = "inapplicable"
+            else:
+                expected = frozenset(x.c0 for x in sub) in value_sets
+            assert entry.cond_powerset_interp_a == expected, m
 
 
 class TestKnownFindingByHand:
