@@ -8,7 +8,8 @@ Subcommands:
 
 `--json` emits canonical JSON-lines (one record per line, sorted keys, no
 whitespace) so output is byte-reproducible; `--jobs K` fans per-prime work
-out to K processes with output still emitted in ascending p order.
+out to K processes.  Either way each record is written as soon as it is
+computed, in ascending p, so an interrupted sweep keeps its finished primes.
 
 Exit codes: 0 success or findings-only, 1 a proven-theorem violation was
 detected, 2 usage or validation error.
@@ -20,6 +21,8 @@ import argparse
 import json
 import math
 import sys
+from contextlib import ExitStack
+from functools import partial
 from multiprocessing import Pool
 
 from .config import GENERATOR_SEED, theorem_cap
@@ -128,24 +131,22 @@ def cmd_analyze(args) -> int:
 # ----------------------------------------------------------------- verify
 
 
-def _verify_worker(task: tuple[int, str, int, int, int]) -> tuple[int, dict]:
+def _verify_worker(p: int, kind: str, params: RecurrenceParams, cap: int) -> dict:
     """Compute one per-prime record; must stay a module-level function so the
     multiprocessing pool can pickle it."""
-    p, kind, P, Q, cap = task
-    params = RecurrenceParams(P, Q)
     if kind != "verify_lucas" and p in SPECIAL_PRIMES:
         payload = {"p": p, "reason": "special prime"}
-        return p, make_record("skip", payload, params, cap)
+        return make_record("skip", payload, params, cap)
     if kind == "verify_complementary":
         report = verify_complementary(p)
     elif kind == "verify_main":
         report = verify_main(p, params)
     elif math.gcd(p, 2 * params.P * params.Q * params.discriminant) != 1:
         payload = {"p": p, "reason": "p divides 2*P*Q*(P^2-4Q)"}
-        return p, make_record("skip", payload, params, cap)
+        return make_record("skip", payload, params, cap)
     else:
         report = verify_lucas(p, params)
-    return p, make_record(kind, report.payload(), params, cap)
+    return make_record(kind, report.payload(), params, cap)
 
 
 def _load_cached(path: str, kind: str, params: RecurrenceParams) -> dict[int, dict]:
@@ -174,6 +175,9 @@ def cmd_verify(args) -> int:
     if args.start > args.stop:
         print("error: empty range", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return 2
     if args.stop > cap:
         print(f"error: range end {args.stop} exceeds cap {cap}", file=sys.stderr)
         return 2
@@ -190,33 +194,29 @@ def cmd_verify(args) -> int:
     cached: dict[int, dict] = {}
     if args.out and not args.force:
         cached = _load_cached(args.out, kind, params)
-    tasks = [(p, kind, params.P, params.Q, cap) for p in primes if p not in cached]
-    if args.jobs > 1 and len(tasks) > 1:
-        with Pool(args.jobs) as pool:
-            results = pool.map(_verify_worker, tasks)
-    else:
-        results = [_verify_worker(t) for t in tasks]
-    results.sort(key=lambda pr: pr[0])
-
-    out_fh = open(args.out, "a") if args.out else None
+    todo = [p for p in primes if p not in cached]
     # a cached verdict counts as if it had been computed again
     violations = sum(_is_violation(cached[p]) for p in primes if p in cached)
     findings = sum(_is_finding(cached[p]) for p in primes if p in cached)
-    try:
-        for p, record in results:
+    work = partial(_verify_worker, kind=kind, params=params, cap=cap)
+    with ExitStack() as stack:
+        # line-buffered, so every finished record reaches FILE at once
+        out_fh = stack.enter_context(open(args.out, "a", buffering=1)) if args.out else None
+        if args.jobs > 1 and len(todo) > 1:
+            pool = stack.enter_context(Pool(min(args.jobs, len(todo))))
+            records = pool.imap(work, todo)
+        else:
+            records = map(work, todo)
+        for record in records:
             line = dumps_record(record)
             if out_fh is not None:
                 out_fh.write(line + "\n")
-            if args.json or out_fh is None:
-                if args.json:
-                    print(line)
-                else:
-                    _print_verify_human(record)
+            if args.json:
+                print(line)
+            elif out_fh is None:
+                _print_verify_human(record)
             violations += _is_violation(record)
             findings += _is_finding(record)
-    finally:
-        if out_fh is not None:
-            out_fh.close()
     if findings:
         print(f"warning: {findings} report-only discrepancies (not theorem violations)",
               file=sys.stderr)

@@ -48,7 +48,7 @@ class Mat2:
 
     @staticmethod
     def identity(n: int) -> "Mat2":
-        return Mat2(n, 1, 0, 0, 1)
+        return Mat2(n, 1 % n, 0, 0, 1 % n)
 
     def apply(self, v: tuple[int, int]) -> tuple[int, int]:
         x, y = v
@@ -57,7 +57,7 @@ class Mat2:
 
 def companion_matrix(params: RecurrenceParams, N: int) -> Mat2:
     """B_{P,Q} = (0 1; -Q P); Fibonacci params give A = (0 1; 1 1)."""
-    return Mat2(N, 0, 1, (-params.Q) % N, params.P % N)
+    return Mat2(N, 0, 1 % N, (-params.Q) % N, params.P % N)
 
 
 def mat_mul(x: Mat2, y: Mat2) -> Mat2:
@@ -110,6 +110,7 @@ def _gl2_exponent_bound(N: int) -> Factorization:
 
 def mat_order(params: RecurrenceParams, N: int) -> int:
     """Least t >= 1 with B^t = Id (the Pisano-type period for Fibonacci)."""
+    _check_modulus(N)
     _require_invertible(params, N)
     B = companion_matrix(params, N)
     ident = Mat2.identity(N)

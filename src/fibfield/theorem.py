@@ -133,9 +133,11 @@ def cond_order(ed: EigenData, m: int) -> bool:
     return ed.splitting == "split" and (ed.l == m or ed.l_prime == m)
 
 
-def _star_orbits(p: int, params: RecurrenceParams):
+def _star_orbits(p: int, params: RecurrenceParams) -> tuple[set[int], set[frozenset[int]]]:
+    """Periods and value sets of the zero-free orbits mod p, from one sweep."""
     _check_cap(p)
-    return sweep_star_orbits(p, params)
+    orbits = sweep_star_orbits(p, params)
+    return {period for _, period, _ in orbits}, {values for _, _, values in orbits}
 
 
 def _powerset_holds(p: int, m: int, value_sets: set[frozenset[int]]) -> bool:
@@ -187,9 +189,7 @@ def verify_main(p: int, params: RecurrenceParams = FIBONACCI) -> MainReport:
     if params.is_fibonacci and p in SPECIAL_PRIMES:
         raise SpecialPrime(f"p = {p}: use special_case_report")
     ed = eigen_data(p, params)
-    orbits = _star_orbits(p, params)
-    periods = {period for _, period, _ in orbits}
-    value_sets = {values for _, _, values in orbits}
+    periods, value_sets = _star_orbits(p, params)
     triples: dict[int, ConditionTriple] = {}
     for m in divisors(factorize(p - 1)):
         triples[m] = ConditionTriple(
@@ -257,9 +257,7 @@ def verify_complementary(p: int) -> ComplementaryReport:
         raise SpecialPrime(f"p = {p}: use special_case_report")
     params = FIBONACCI
     ed = eigen_data(p, params)
-    orbits = _star_orbits(p, params)
-    periods = {period for _, period, _ in orbits}
-    value_sets = {values for _, _, values in orbits}
+    periods, value_sets = _star_orbits(p, params)
     inert = ed.splitting == "inert"
     size = 2 * (p + 1)
     entries: dict[int, ComplementaryEntry] = {}

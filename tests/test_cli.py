@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from fibfield import cli
+from fibfield.errors import InternalInvariantViolation
+
 PKG = [sys.executable, "-m", "fibfield"]
 
 
@@ -126,6 +129,39 @@ class TestVerify:
     def test_over_cap(self):
         assert run_cli("verify", "3", "5000").returncode == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_rejected(self, jobs):
+        r = run_cli("verify", "3", "20", "--jobs", jobs)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: --jobs must be at least 1\n")
+
+    @pytest.mark.parametrize("argv, sizes", [
+        (["3", "20", "--jobs", "64"], [7]),  # 7 primes, so no more than 7 workers
+        (["3", "20", "--jobs", "2"], [2]),
+        (["13", "13", "--jobs", "4"], []),  # one prime runs in this process
+    ])
+    def test_pool_size(self, monkeypatch, capsys, argv, sizes):
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, iterable):
+                return map(func, iterable)
+
+        serial = cli.main(["verify", *argv[:2], "--json"])
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(cli, "Pool", FakePool)
+        assert cli.main(["verify", *argv, "--json"]) == serial
+        assert capsys.readouterr().out == expected
+        assert started == sizes
+
     def test_env_cap_lowers(self):
         assert run_cli("verify", "3", "50", env_extra={"FIBFIELD_CAP": "30"}).returncode == 2
         assert run_cli("verify", "19", "29", "--json",
@@ -171,10 +207,13 @@ class TestJsonDiscipline:
             rec = json.loads(line)
             assert json.dumps(rec, sort_keys=True, separators=(",", ":")) == line
 
-    def test_jobs_determinism(self):
-        a = run_cli("verify", "19", "43", "--json", "--jobs", "1").stdout
-        b = run_cli("verify", "19", "43", "--json", "--jobs", "4").stdout
-        assert a == b
+    @pytest.mark.parametrize("extra", [[], ["--complementary"], ["--lucas", "3,1"]],
+                             ids=["main", "complementary", "lucas"])
+    def test_jobs_determinism(self, extra):
+        a = run_cli("verify", "19", "43", "--json", "--jobs", "1", *extra)
+        b = run_cli("verify", "19", "43", "--json", "--jobs", "4", *extra)
+        assert a.stdout
+        assert (a.returncode, a.stdout, a.stderr) == (b.returncode, b.stdout, b.stderr)
 
 
 class TestOutCaching:
@@ -216,6 +255,29 @@ class TestOutCaching:
         assert (r.returncode, r.stdout) == (1, "")
         assert out.read_text() == first
         assert run_cli("verify", "19", "30", "--out", str(out)).returncode == 0
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failure_keeps_finished_records(self, tmp_path, monkeypatch, capsys, jobs):
+        assert cli.main(["verify", "3", "40", "--json"]) == 1
+        finished = capsys.readouterr().out.splitlines()[:8]
+        assert [json.loads(line)["payload"]["p"] for line in finished] == [
+            3, 5, 7, 11, 13, 17, 19, 23]
+        real = cli.verify_main
+
+        def failing(p, params):
+            if p == 29:
+                raise InternalInvariantViolation("injected at p = 29")
+            return real(p, params)
+
+        # forked pool workers inherit the patched module
+        monkeypatch.setattr(cli, "verify_main", failing)
+        out = tmp_path / "f.jsonl"
+        argv = ["verify", "3", "40", "--json", "--out", str(out), "--jobs", jobs]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == finished
+        assert out.read_text().splitlines() == finished
+        assert captured.err == "error: injected at p = 29\n"
 
     def test_force_recomputes(self, tmp_path):
         out = tmp_path / "cache.jsonl"

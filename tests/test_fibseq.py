@@ -79,16 +79,22 @@ class TestMatOrder:
         assert mat_order(FIBONACCI, 7) == 16
         assert mat_order(FIBONACCI, 2) == 3
         assert mat_order(FIBONACCI, 5) == 20  # ramified: order not dividing p^2-1
+        assert mat_order(FIBONACCI, 1) == 1  # every matrix mod 1 is the identity
 
     def test_singular(self):
         with pytest.raises(SingularMatrix):
             mat_order(RecurrenceParams(1, 2), 6)
 
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_modulus_below_one_rejected(self, N):
+        with pytest.raises(ValueError, match=f"modulus N = {N} must be at least 1"):
+            mat_order(FIBONACCI, N)
+
     def test_naive_oracle(self):
-        for N in range(2, 60):
+        for N in range(1, 60):
             assert mat_order(FIBONACCI, N) == naive_mat_order(FIBONACCI, N)
         for params in (RecurrenceParams(3, 1), RecurrenceParams(2, -1), RecurrenceParams(4, 3)):
-            for N in range(2, 40):
+            for N in range(1, 40):
                 if math.gcd(params.Q, N) != 1:
                     continue
                 assert mat_order(params, N) == naive_mat_order(params, N)
