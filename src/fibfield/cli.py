@@ -12,7 +12,8 @@ out to K processes.  Either way each record is written as soon as it is
 computed, in ascending p, so an interrupted sweep keeps its finished primes.
 
 Exit codes: 0 success or findings-only, 1 a proven-theorem violation was
-detected, 2 usage or validation error.
+detected, 2 usage or validation error, or an --out FILE that cannot be
+opened.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ def _print_verify_human(record: dict) -> None:
               f"star periods at m in {true_ms}")
         return
     true_ms = [m for m, t in payload["conditions"].items() if t["period"]]
-    line = f"p = {p}: consistent = {payload['consistent']}, all-true at m in {true_ms}"
+    line = f"p = {p}: consistent = {payload['consistent']}, star periods at m in {true_ms}"
     if not payload["consistent"]:
         bad = [m for m, t in payload["conditions"].items()
                if not t["powerset"] == t["period"] == t["order"]]
@@ -354,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FibfieldError, ValueError) as exc:
+    except (FibfieldError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,10 +13,6 @@ class BadGroupOrder(FibfieldError):
     """Claimed group order is not annihilating: a^order != 1."""
 
 
-class BadDivisor(FibfieldError):
-    """Requested exponent does not divide the group order."""
-
-
 class BadPrime(FibfieldError):
     """Argument fails the primality (or special-prime) precondition."""
 

@@ -238,29 +238,36 @@ def _orbits(N: int, params: RecurrenceParams):
         yield start, values
 
 
-def sweep_star_orbits(
-    N: int, params: RecurrenceParams = FIBONACCI
-) -> list[tuple[tuple[int, int], int, frozenset[int]]]:
-    """(lexicographically least pair, period, value set) of each zero-free
-    orbit of nonzero pairs under B, in order of the least pair."""
-    return [
-        (divmod(rep, N), len(values), frozenset(values))
-        for rep, values in _orbits(N, params)
-        if 0 not in values
-    ]
+def star_summary(
+    p: int, params: RecurrenceParams = FIBONACCI
+) -> tuple[set[int], set[int]]:
+    """Periods of the zero-free orbits mod the prime p, and the m whose
+    order-m subgroup of F_p^x is one of their value sets, from one walk.
 
-
-def orbit_sizes(N: int, params: RecurrenceParams = FIBONACCI) -> list[int]:
-    """Sizes of all orbits of nonzero pairs (star or not); they partition the
-    N^2 - 1 nonzero pairs."""
-    return [len(values) for _, values in _orbits(N, params)]
+    A value set V of m residues is that subgroup iff m | p-1 and v^m = 1 for
+    every v in V: x^m - 1 has at most m roots, so V is all of them.
+    """
+    periods: set[int] = set()
+    subgroup_ms: set[int] = set()
+    for _, values in _orbits(p, params):
+        if 0 in values:
+            continue
+        periods.add(len(values))
+        distinct = set(values)
+        m = len(distinct)
+        if (p - 1) % m == 0 and all(pow(v, m, p) == 1 for v in distinct):
+            subgroup_ms.add(m)
+    return periods, subgroup_ms
 
 
 def enumerate_star(
     N: int, params: RecurrenceParams = FIBONACCI
 ) -> list[tuple[SequenceId, PeriodReport]]:
-    """One canonical representative per zero-free orbit with its report."""
+    """One representative per zero-free orbit (its lexicographically least
+    pair) with its report, in order of that pair."""
     return [
-        (SequenceId(N, rep[0], rep[1], params), PeriodReport(period, True, values))
-        for rep, period, values in sweep_star_orbits(N, params)
+        (SequenceId(N, *divmod(rep, N), params),
+         PeriodReport(len(values), True, frozenset(values)))
+        for rep, values in _orbits(N, params)
+        if 0 not in values
     ]

@@ -17,7 +17,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .config import INT_WIDTH_CAP
-from .errors import BadDivisor, BadGroupOrder, InternalInvariantViolation, NotInvertible
+from .errors import BadGroupOrder, NotInvertible
 
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -29,30 +29,13 @@ def _check_width(n: int) -> None:
         raise ValueError(f"input {n} exceeds the 2^62 width cap")
 
 
-def mod_pow(base: int, exp: int, n: int) -> int:
-    """base^exp mod n by square-and-multiply; exp = 0 gives 1 mod n."""
-    if exp < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(base % n, exp, n)
-
-
 def mod_inv(a: int, n: int) -> int:
-    """Inverse of a modulo n via extended gcd; raises NotInvertible."""
+    """Inverse of a modulo n; raises NotInvertible."""
     a %= n
-    g, x, _ = _xgcd(a, n)
-    if g != 1:
-        raise NotInvertible(f"gcd({a}, {n}) = {g} != 1")
-    return x % n
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        raise NotInvertible(f"gcd({a}, {n}) = {math.gcd(a, n)} != 1") from None
 
 
 def is_prime(n: int) -> bool:
@@ -234,13 +217,3 @@ def sqrt_mod(a: int, p: int) -> tuple[int, int] | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return (r, p - r) if r <= p - r else (p - r, r)
-
-
-def power_subgroup(p: int, r: int) -> set[int]:
-    """The set {a^r : a in F_p^x}, the unique subgroup of order (p-1)/r."""
-    if (p - 1) % r != 0:
-        raise BadDivisor(f"{r} does not divide {p - 1}")
-    sub = {pow(a, r, p) for a in range(1, p)}
-    if len(sub) != (p - 1) // r:
-        raise InternalInvariantViolation(f"{len(sub)} {r}-th powers mod {p}, not {(p - 1) // r}")
-    return sub

@@ -140,9 +140,3 @@ def ext_order(x: QuadElement) -> int:
     if q_pow(x, group) != one:
         raise InternalInvariantViolation(f"{x}^{group} != 1")
     return least_dividing(factorize(group), lambda t: q_pow(x, t) == one)
-
-
-def n_pm_contains(x: QuadElement) -> bool:
-    """True iff Nr(x) = +-1, i.e. x lies in the norm subgroup of size 2(p+1)."""
-    x.ctx.require_inert()
-    return norm(x) in (1, x.ctx.p - 1)

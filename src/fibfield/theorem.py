@@ -37,7 +37,7 @@ from .fibseq import (
     SequenceId,
     enumerate_star,
     mat_order,
-    sweep_star_orbits,
+    star_summary,
 )
 from .modarith import (
     divisors,
@@ -46,7 +46,6 @@ from .modarith import (
     legendre,
     mod_inv,
     multiplicative_order,
-    power_subgroup,
     sqrt_mod,
 )
 from .quadext import QuadContext, QuadElement, conjugate, ext_order, q_mul
@@ -133,18 +132,6 @@ def cond_order(ed: EigenData, m: int) -> bool:
     return ed.splitting == "split" and (ed.l == m or ed.l_prime == m)
 
 
-def _star_orbits(p: int, params: RecurrenceParams) -> tuple[set[int], set[frozenset[int]]]:
-    """Periods and value sets of the zero-free orbits mod p, from one sweep."""
-    _check_cap(p)
-    orbits = sweep_star_orbits(p, params)
-    return {period for _, period, _ in orbits}, {values for _, _, values in orbits}
-
-
-def _powerset_holds(p: int, m: int, value_sets: set[frozenset[int]]) -> bool:
-    """Some zero-free value set equals the order-m subgroup of F_p^x (m | p-1)."""
-    return frozenset(power_subgroup(p, (p - 1) // m)) in value_sets
-
-
 @dataclass(frozen=True)
 class ConditionTriple:
     """Verdicts of the three equivalent conditions for one (p, m)."""
@@ -189,11 +176,12 @@ def verify_main(p: int, params: RecurrenceParams = FIBONACCI) -> MainReport:
     if params.is_fibonacci and p in SPECIAL_PRIMES:
         raise SpecialPrime(f"p = {p}: use special_case_report")
     ed = eigen_data(p, params)
-    periods, value_sets = _star_orbits(p, params)
+    _check_cap(p)
+    periods, subgroup_ms = star_summary(p, params)
     triples: dict[int, ConditionTriple] = {}
     for m in divisors(factorize(p - 1)):
         triples[m] = ConditionTriple(
-            cond_powerset=_powerset_holds(p, m, value_sets),
+            cond_powerset=m in subgroup_ms,
             cond_period=m in periods,
             cond_order=cond_order(ed, m),
         )
@@ -257,7 +245,8 @@ def verify_complementary(p: int) -> ComplementaryReport:
         raise SpecialPrime(f"p = {p}: use special_case_report")
     params = FIBONACCI
     ed = eigen_data(p, params)
-    periods, value_sets = _star_orbits(p, params)
+    _check_cap(p)
+    periods, subgroup_ms = star_summary(p, params)
     inert = ed.splitting == "inert"
     size = 2 * (p + 1)
     entries: dict[int, ComplementaryEntry] = {}
@@ -267,7 +256,7 @@ def verify_complementary(p: int) -> ComplementaryReport:
         order_ok = inert and (ed.l == m or ed.l_prime == m)
         powerset: bool | str = INAPPLICABLE
         if inert and (p - 1) % m == 0:
-            powerset = _powerset_holds(p, m, value_sets)
+            powerset = m in subgroup_ms
         if powerset == INAPPLICABLE and (period_ok or order_ok):
             notes.append(f"m={m}: item-(1) subgroup leaves F_p, recorded inapplicable")
         if period_ok != order_ok:

@@ -1,8 +1,11 @@
-"""Shared naive oracles, independent of the library's fast paths."""
+"""Shared naive oracles, independent of the library's fast paths, and
+`orbit_sizes`, which reads the library's pair walker."""
 
 from __future__ import annotations
 
 import pytest
+
+from fibfield.fibseq import FIBONACCI, RecurrenceParams, _orbits
 
 # The literal value-set condition is satisfiable at m = p-1 for p = 13 and 17
 # (zero-free orbits of period 2(p+1) covering all of F_p^x) although the
@@ -52,6 +55,23 @@ def naive_orbits(N: int, P: int = 1, Q: int = -1) -> list[list[int]]:
                 a, b = b, (P * b - Q * a) % N
             orbits.append(terms)
     return orbits
+
+
+def orbit_sizes(N: int, params: RecurrenceParams = FIBONACCI) -> list[int]:
+    """Sizes of the library walker's orbits of nonzero pairs (star or not),
+    in its order; they must partition the N^2 - 1 nonzero pairs."""
+    return [len(values) for _, values in _orbits(N, params)]
+
+
+def power_subgroup(p: int, r: int) -> set[int]:
+    """The set {a^r : a in F_p^x}, the unique subgroup of order (p-1)/r,
+    by scanning every unit."""
+    if (p - 1) % r != 0:
+        raise ValueError(f"{r} does not divide {p - 1}")
+    sub = {pow(a, r, p) for a in range(1, p)}
+    if len(sub) != (p - 1) // r:
+        raise AssertionError(f"{len(sub)} {r}-th powers mod {p}, not {(p - 1) // r}")
+    return sub
 
 
 def naive_fib_eigen_orders(p: int) -> tuple[int, int]:

@@ -38,12 +38,11 @@ from fibfield.modarith import (
     is_prime,
     legendre,
     multiplicative_order,
-    power_subgroup,
 )
-from fibfield.quadext import fibonacci_context, n_pm_contains, norm, ext_order
+from fibfield.quadext import fibonacci_context, norm, ext_order
 from fibfield.theorem import check_eigen_invariants, eigen_data
 
-from conftest import KNOWN_NONUNIFORM, naive_order, naive_period, primes_upto
+from conftest import KNOWN_NONUNIFORM, naive_order, naive_period, power_subgroup, primes_upto
 
 
 def report(criterion, ok, detail=""):
@@ -133,7 +132,7 @@ def test_criterion_3_proof_ingredient_invariants():
         ctx = fibonacci_context(p)
         elements = [ctx.element(c0, c1) for c0 in range(p) for c1 in range(p)
                     if (c0, c1) != (0, 0)]
-        if sum(1 for x in elements if n_pm_contains(x)) != 2 * (p + 1):
+        if sum(1 for x in elements if norm(x) in (1, p - 1)) != 2 * (p + 1):
             failures.append(p)
         if {norm(x) for x in elements} != set(range(1, p)):
             failures.append(p)

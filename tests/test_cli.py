@@ -7,6 +7,7 @@ import pytest
 
 from fibfield import cli
 from fibfield.errors import InternalInvariantViolation
+from fibfield.theorem import verify_main
 
 PKG = [sys.executable, "-m", "fibfield"]
 
@@ -181,6 +182,9 @@ class TestVerify:
         lines = r.stdout.splitlines()
         assert "non-uniform" not in lines[0]
         assert lines[1].endswith("non-uniform at m in ['12']")
+        for p, line in zip((11, 13), lines):
+            period_ms = [str(m) for m, t in verify_main(p).triples.items() if t.cond_period]
+            assert f", star periods at m in {period_ms}" in line
 
     def test_complementary_findings_are_warnings(self):
         r = run_cli("verify", "7", "7", "--complementary", "--json")
@@ -278,6 +282,18 @@ class TestOutCaching:
         assert captured.out.splitlines() == finished
         assert out.read_text().splitlines() == finished
         assert captured.err == "error: injected at p = 29\n"
+
+    def test_missing_directory_is_usage_error(self, tmp_path):
+        out = tmp_path / "missing_dir" / "f.jsonl"
+        r = run_cli("verify", "3", "5", "--out", str(out))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+        assert not out.parent.exists()
+
+    def test_directory_as_out_is_usage_error(self, tmp_path):
+        r = run_cli("verify", "3", "5", "--out", str(tmp_path))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
     def test_force_recomputes(self, tmp_path):
         out = tmp_path / "cache.jsonl"

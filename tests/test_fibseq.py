@@ -20,15 +20,14 @@ from fibfield.fibseq import (
     mat_order,
     mat_pow,
     minimal_period,
-    orbit_sizes,
     period_report,
-    sweep_star_orbits,
+    star_summary,
     value_set,
 )
-from fibfield.modarith import multiplicative_order, power_subgroup
+from fibfield.modarith import multiplicative_order
 from fibfield.theorem import eigen_data
 
-from conftest import naive_orbits, naive_period, primes_upto
+from conftest import naive_orbits, naive_period, orbit_sizes, power_subgroup, primes_upto
 
 
 def naive_mat_order(params, N):
@@ -225,7 +224,8 @@ class TestEnumerateStar:
         params = RecurrenceParams(P, Q)
         orbits = naive_orbits(N, P, Q)
         assert orbit_sizes(N, params) == [len(o) for o in orbits]
-        assert sweep_star_orbits(N, params) == [
+        assert [((seq.a1, seq.a2), rep.minimal_period, rep.value_set)
+                for seq, rep in enumerate_star(N, params)] == [
             ((o[0], o[1 % len(o)]), len(o), frozenset(o)) for o in orbits if 0 not in o
         ]
 
@@ -244,3 +244,29 @@ class TestEnumerateStar:
 
     def test_deterministic_order(self):
         assert enumerate_star(41) == enumerate_star(41)
+
+
+ODD_PRIMES_TO_60 = [p for p in primes_upto(60) if p > 2]
+
+
+class TestStarSummary:
+    @given(st.sampled_from(ODD_PRIMES_TO_60), st.integers(-60, 60), st.integers(-60, 60))
+    @settings(max_examples=80, deadline=None)
+    @example(13, 1, -1)
+    @example(17, 1, -1)
+    @example(31, 1, -2)
+    def test_naive_oracle_property(self, p, P, Q):
+        assume(Q * (P * P - 4 * Q) % p != 0)
+        star = [terms for terms in naive_orbits(p, P, Q) if 0 not in terms]
+        value_sets = {frozenset(terms) for terms in star}
+        subgroup_ms = {m for m in range(1, p) if (p - 1) % m == 0
+                       and frozenset(power_subgroup(p, (p - 1) // m)) in value_sets}
+        assert star_summary(p, RecurrenceParams(P, Q)) == (
+            {len(terms) for terms in star}, subgroup_ms)
+
+    @pytest.mark.parametrize("p", [13, 17])
+    def test_known_finding(self, p):
+        # F_{1,3} covers all of F_p^x with period 2(p+1), and no orbit has period p-1
+        periods, subgroup_ms = star_summary(p)
+        assert p - 1 in subgroup_ms
+        assert p - 1 not in periods

@@ -223,7 +223,7 @@ class TestVerifyComplementary:
 
 class TestKnownFindingByHand:
     """The p = 13, 17 finding and the complementary verdicts, checked by
-    direct pair iteration (conftest oracles), never by sweep_star_orbits or
+    direct pair iteration (conftest oracles), never by star_summary or
     verify_main.  Acceptance criteria 1 and 6 expect exactly these values."""
 
     # p: (number of nonzero pair orbits, their common length, the
