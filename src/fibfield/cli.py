@@ -24,7 +24,6 @@ import math
 import sys
 from contextlib import ExitStack
 from functools import partial
-from multiprocessing import Pool
 
 from .config import GENERATOR_SEED, theorem_cap
 from .errors import FibfieldError
@@ -204,6 +203,8 @@ def cmd_verify(args) -> int:
         # line-buffered, so every finished record reaches FILE at once
         out_fh = stack.enter_context(open(args.out, "a", buffering=1)) if args.out else None
         if args.jobs > 1 and len(todo) > 1:
+            # deferred: multiprocessing is a slow import that serial runs never need
+            from multiprocessing import Pool
             pool = stack.enter_context(Pool(min(args.jobs, len(todo))))
             records = pool.imap(work, todo)
         else:

@@ -1,8 +1,9 @@
 """Enumeration caps and reproducibility constants.
 
-All exhaustive sweeps are O(N^2) in the modulus, so they are capped.  The
-environment variable FIBFIELD_CAP may lower the theorem-verification cap,
-never raise it.
+Every pair walk allocates N^2 bytes and takes O(N^2) steps, so
+DEFAULT_THEOREM_CAP bounds both the primes a sweep may reach and the modulus
+of `enumerate`.  The environment variable FIBFIELD_CAP may lower the sweep
+cap, never raise it; it leaves the enumeration cap alone.
 """
 
 from __future__ import annotations
@@ -11,10 +12,7 @@ import functools
 import os
 import sys
 
-# Hard ceiling on any modulus accepted by enumeration operations.
-HARD_CAP = 1 << 20
-
-# Default ceiling for theorem-level O(p^2) sweeps.
+# Ceiling for theorem-level O(p^2) sweeps and for any enumerated modulus.
 DEFAULT_THEOREM_CAP = 4096
 
 # All public inputs must fit in signed 62-bit so products stay exact.

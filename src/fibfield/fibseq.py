@@ -10,15 +10,14 @@ assigned minimal period 1 (B fixes it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .config import HARD_CAP
+from .config import DEFAULT_THEOREM_CAP
 from .errors import CapExceeded, InternalInvariantViolation, ModulusMismatch, SingularMatrix
 from .modarith import Factorization, factorize, least_dividing
 
 
-@dataclass(frozen=True)
-class RecurrenceParams:
+class RecurrenceParams(NamedTuple):
     """Coefficients of a_n = P*a_{n-1} - Q*a_{n-2}."""
 
     P: int
@@ -36,8 +35,7 @@ class RecurrenceParams:
 FIBONACCI = RecurrenceParams(1, -1)
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """2x2 matrix (a b; c d) over Z/nZ, entries reduced."""
 
     n: int
@@ -120,23 +118,24 @@ def mat_order(params: RecurrenceParams, N: int) -> int:
     return least_dividing(bound, lambda t: mat_pow(B, t) == ident)
 
 
-@dataclass(frozen=True)
-class SequenceId:
-    """One recurrence orbit: modulus, seed pair and coefficients."""
-
+class _SequenceIdFields(NamedTuple):
     N: int
     a1: int
     a2: int
     params: RecurrenceParams
 
-    def __post_init__(self):
-        _check_modulus(self.N)
-        object.__setattr__(self, "a1", self.a1 % self.N)
-        object.__setattr__(self, "a2", self.a2 % self.N)
+
+class SequenceId(_SequenceIdFields):
+    """One recurrence orbit: modulus, seed pair (reduced mod N) and coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, N: int, a1: int, a2: int, params: RecurrenceParams):
+        _check_modulus(N)
+        return super().__new__(cls, N, a1 % N, a2 % N, params)
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     """Minimal period, nonvanishing flag, and value set of one sequence."""
 
     minimal_period: int
@@ -192,8 +191,9 @@ def _check_modulus(N: int) -> None:
 
 
 def _check_cap(N: int) -> None:
-    if N > HARD_CAP:
-        raise CapExceeded(f"N = {N} exceeds the enumeration cap {HARD_CAP}")
+    # the walk allocates N^2 bytes and takes O(N^2) steps
+    if N > DEFAULT_THEOREM_CAP:
+        raise CapExceeded(f"N = {N} exceeds the enumeration cap {DEFAULT_THEOREM_CAP}")
 
 
 def _require_invertible(params: RecurrenceParams, N: int) -> None:

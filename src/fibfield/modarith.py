@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import INT_WIDTH_CAP
 from .errors import BadGroupOrder, NotInvertible
@@ -62,25 +62,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Complete factorization: factors sorted by prime, product equals n."""
-
+class _FactorizationFields(NamedTuple):
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+
+class Factorization(_FactorizationFields):
+    """Complete factorization: factors sorted by prime, product equals n."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, factors: tuple[tuple[int, int], ...]):
         prod = 1
         last = 0
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last:
                 raise ValueError("primes must be strictly increasing")
             if e < 1 or not is_prime(p):
                 raise ValueError(f"bad factor ({p}, {e})")
             prod *= p**e
             last = p
-        if prod != self.n:
-            raise ValueError(f"factors reassemble to {prod}, not {self.n}")
+        if prod != n:
+            raise ValueError(f"factors reassemble to {prod}, not {n}")
+        return super().__new__(cls, n, factors)
 
     @property
     def primes(self) -> tuple[int, ...]:

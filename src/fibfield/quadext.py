@@ -11,7 +11,7 @@ with SplitContext.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ContextMismatch,
@@ -22,19 +22,21 @@ from .errors import (
 from .modarith import factorize, is_prime, least_dividing, legendre
 
 
-@dataclass(frozen=True)
-class QuadContext:
-    """The ring F_p[x]/(x^2 - Px + Q): lam has trace P and norm Q."""
-
+class _QuadContextFields(NamedTuple):
     p: int
     P: int
     Q: int
 
-    def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"p = {self.p} must be an odd prime")
-        object.__setattr__(self, "P", self.P % self.p)
-        object.__setattr__(self, "Q", self.Q % self.p)
+
+class QuadContext(_QuadContextFields):
+    """The ring F_p[x]/(x^2 - Px + Q): lam has trace P and norm Q."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, P: int, Q: int):
+        if p < 3 or not is_prime(p):
+            raise ValueError(f"p = {p} must be an odd prime")
+        return super().__new__(cls, p, P % p, Q % p)
 
     @property
     def discriminant(self) -> int:
@@ -65,8 +67,7 @@ def fibonacci_context(p: int) -> QuadContext:
     return QuadContext(p, 1, -1)
 
 
-@dataclass(frozen=True)
-class QuadElement:
+class QuadElement(NamedTuple):
     """c0 + c1*lam with lam^2 = P*lam - Q; components reduced mod p."""
 
     c0: int

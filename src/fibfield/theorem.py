@@ -20,7 +20,7 @@ satisfiable, so nothing here is asserted as a theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import theorem_cap
 from .errors import (
@@ -81,8 +81,7 @@ def splitting_type(p: int, params: RecurrenceParams = FIBONACCI) -> str:
     return "split" if split else "inert"
 
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(NamedTuple):
     """Eigenvalues of the companion matrix and their multiplicative orders.
 
     In the split case phi and phi_prime are residues mod p; in the inert
@@ -132,8 +131,7 @@ def cond_order(ed: EigenData, m: int) -> bool:
     return ed.splitting == "split" and (ed.l == m or ed.l_prime == m)
 
 
-@dataclass(frozen=True)
-class ConditionTriple:
+class ConditionTriple(NamedTuple):
     """Verdicts of the three equivalent conditions for one (p, m)."""
 
     cond_powerset: bool
@@ -145,8 +143,7 @@ class ConditionTriple:
         return self.cond_powerset == self.cond_period == self.cond_order
 
 
-@dataclass(frozen=True)
-class MainReport:
+class MainReport(NamedTuple):
     """Per-m condition triples over all m | p-1 and the overall verdict."""
 
     p: int
@@ -200,21 +197,19 @@ def verify_lucas(p: int, params: RecurrenceParams) -> MainReport:
     return verify_main(p, params)
 
 
-@dataclass(frozen=True)
-class ComplementaryEntry:
+class ComplementaryEntry(NamedTuple):
     cond_period: bool
     cond_order: bool
     cond_powerset_interp_a: bool | str  # bool or INAPPLICABLE
 
 
-@dataclass(frozen=True)
-class ComplementaryReport:
+class ComplementaryReport(NamedTuple):
     """Reporting-only sweep over m | 2(p+1) for the norm-subgroup statement."""
 
     p: int
     entries: dict[int, ComplementaryEntry]
     equivalence_23: bool
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
 
     def payload(self) -> dict:
         return {

@@ -1,11 +1,12 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 
 import pytest
 
-from fibfield import cli
+from fibfield import cli, fibseq
 from fibfield.errors import InternalInvariantViolation
 from fibfield.theorem import verify_main
 
@@ -66,6 +67,22 @@ class TestEnumerate:
         assert rec["payload"]["N"] == 10
         for orbit in rec["payload"]["orbits"]:
             assert 0 not in orbit["values"]
+
+    def test_over_cap(self, monkeypatch, capsys):
+        def no_alloc(size):
+            raise AssertionError(f"allocated {size} bytes")
+
+        monkeypatch.setattr(fibseq, "bytearray", no_alloc, raising=False)
+        assert cli.main(["enumerate", "4097"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: N = 4097 exceeds the enumeration cap 4096\n")
+
+    def test_cap_ignores_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("FIBFIELD_CAP", "3")
+        assert cli.main(["analyze", "5", "--json"]) == 0
+        (rec,) = records(capsys.readouterr().out)
+        assert rec["payload"]["orbits"] == [{"seed": [1, 3], "period": 4, "values": [1, 2, 3, 4]}]
 
 
 class TestPeriod:
@@ -158,7 +175,7 @@ class TestVerify:
 
         serial = cli.main(["verify", *argv[:2], "--json"])
         expected = capsys.readouterr().out
-        monkeypatch.setattr(cli, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         assert cli.main(["verify", *argv, "--json"]) == serial
         assert capsys.readouterr().out == expected
         assert started == sizes
@@ -202,6 +219,17 @@ class TestVerify:
         recs = records(r.stdout)
         assert all(rec["kind"] in ("verify_lucas", "skip") for rec in recs)
         assert all(not rec["payload"].get("theorem_proven", False) for rec in recs)
+
+
+class TestColdStart:
+    def test_import_skips_unused_modules(self):
+        # -S, because a site .pth file may import modules of its own
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import sys, fibfield.cli; "
+                "print(sorted({'dataclasses', 'multiprocessing'} & set(sys.modules)))")
+        r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src))
+        assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
 
 
 class TestJsonDiscipline:
