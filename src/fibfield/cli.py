@@ -69,10 +69,13 @@ def dumps_record(record: dict) -> str:
 
 
 def _parse_lucas(text: str) -> RecurrenceParams:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("--lucas expects P,Q")
-    return RecurrenceParams(int(parts[0]), int(parts[1]))
+    # argparse replaces a ValueError's text with "invalid _parse_lucas value"
+    try:
+        P, Q = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--lucas expects P,Q (two integers), got {text!r}") from None
+    return RecurrenceParams(P, Q)
 
 
 def _orbit_payloads(reports) -> list[dict]:

@@ -1,6 +1,8 @@
 """Enumeration caps and reproducibility constants.
 
-Every pair walk allocates N^2 bytes and takes O(N^2) steps, so
+Every pair walk allocates N^2 bytes and takes O(N^2) steps: `enumerate`
+walks all N^2 pairs, and a sweep walks, per prime p, the pairs of the
+zero-free orbits (1.48 M of the 3.58 M nonzero pairs in `verify 3 400`).  So
 DEFAULT_THEOREM_CAP bounds both the primes a sweep may reach and the modulus
 of `enumerate`.  The environment variable FIBFIELD_CAP may lower the sweep
 cap, never raise it; it leaves the enumeration cap alone.

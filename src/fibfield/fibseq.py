@@ -201,12 +201,14 @@ def _require_invertible(params: RecurrenceParams, N: int) -> None:
         raise SingularMatrix(f"gcd(Q={params.Q}, N={N}) != 1")
 
 
-def _orbits(N: int, params: RecurrenceParams):
-    """Walk all N^2 - 1 nonzero pairs once, grouped into orbits under B.
+def _orbits(N: int, params: RecurrenceParams, starts):
+    """Walk the orbits under B of the nonzero pairs a1 * N + a2 in `starts`.
 
-    Yields (a1 * N + a2 of the orbit's lexicographically least pair, first
-    coordinates over one period) per orbit, in increasing order of that
-    pair: a scan in index order meets each orbit first at its least pair.
+    Yields (the start at which an orbit is first met, its first coordinates
+    over one period) per orbit, in the order of `starts`; a start on an orbit
+    already walked is skipped, and `starts` is read only after N and params
+    are checked.  With starts = range(1, N * N) every nonzero pair is walked
+    once, and each orbit is met first at its lexicographically least pair.
     """
     _check_modulus(N)
     _check_cap(N)
@@ -215,7 +217,7 @@ def _orbits(N: int, params: RecurrenceParams):
     negQ = (-params.Q) % N
     fib_step = P == 1 and negQ == 1
     visited = bytearray(N * N)
-    for start in range(1, N * N):
+    for start in starts:
         if visited[start]:
             continue
         a, b = divmod(start, N)
@@ -238,20 +240,45 @@ def _orbits(N: int, params: RecurrenceParams):
         yield start, values
 
 
+def _zero_free_starts(p: int, params: RecurrenceParams):
+    """The pairs (a, a*r), a != 0, on lines r = b/a that miss the orbit of
+    (0, 1), as indices a * p + b, for the prime p.
+
+    B commutes with scalars, so every orbit through 0 is c times the orbit
+    of (0, 1) and lies on the lines through that orbit's first alpha points
+    (alpha the rank of apparition); the line a = 0 is one of them.  Lazy:
+    `_orbits` checks p and Q (with Q = 0 mod p the orbit of (0, 1) may never
+    return to 0) before the first start is read.
+    """
+    P, Q = params.P % p, params.Q % p
+    on_zero_orbit = bytearray(p)
+    a, b = 1, P
+    while a:
+        on_zero_orbit[b * pow(a, -1, p) % p] = 1
+        a, b = b, (P * b - Q * a) % p
+    ratios = [r for r in range(p) if not on_zero_orbit[r]]
+    for a in range(1, p):
+        row = a * p
+        for r in ratios:
+            yield row + a * r % p
+
+
 def star_summary(
     p: int, params: RecurrenceParams = FIBONACCI
 ) -> tuple[set[int], set[int]]:
     """Periods of the zero-free orbits mod the prime p, and the m whose
-    order-m subgroup of F_p^x is one of their value sets, from one walk.
+    order-m subgroup of F_p^x is one of their value sets, from one walk of
+    the pairs off the lines of the orbit of (0, 1).
 
     A value set V of m residues is that subgroup iff m | p-1 and v^m = 1 for
     every v in V: x^m - 1 has at most m roots, so V is all of them.
     """
     periods: set[int] = set()
     subgroup_ms: set[int] = set()
-    for _, values in _orbits(p, params):
+    for start, values in _orbits(p, params, _zero_free_starts(p, params)):
         if 0 in values:
-            continue
+            raise InternalInvariantViolation(
+                f"orbit of pair {divmod(start, p)} mod {p} meets 0 off the lines of (0, 1)")
         periods.add(len(values))
         distinct = set(values)
         m = len(distinct)
@@ -268,6 +295,6 @@ def enumerate_star(
     return [
         (SequenceId(N, *divmod(rep, N), params),
          PeriodReport(len(values), True, frozenset(values)))
-        for rep, values in _orbits(N, params)
+        for rep, values in _orbits(N, params, range(1, N * N))
         if 0 not in values
     ]

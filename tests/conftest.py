@@ -1,5 +1,5 @@
 """Shared naive oracles, independent of the library's fast paths, and
-`orbit_sizes`, which reads the library's pair walker."""
+`orbit_sizes`, which reads the library's pair walker over every pair."""
 
 from __future__ import annotations
 
@@ -57,10 +57,22 @@ def naive_orbits(N: int, P: int = 1, Q: int = -1) -> list[list[int]]:
     return orbits
 
 
+def naive_star_summary(p: int, P: int = 1, Q: int = -1) -> tuple[set[int], set[int]]:
+    """The full-scan reference for `star_summary` at the prime p: every orbit
+    from `naive_orbits`, those containing 0 dropped, gives its period, and m
+    counts when the order-m subgroup, found by `power_subgroup`, is one of
+    their value sets."""
+    star = [terms for terms in naive_orbits(p, P, Q) if 0 not in terms]
+    value_sets = {frozenset(terms) for terms in star}
+    subgroup_ms = {m for m in range(1, p) if (p - 1) % m == 0
+                   and frozenset(power_subgroup(p, (p - 1) // m)) in value_sets}
+    return {len(terms) for terms in star}, subgroup_ms
+
+
 def orbit_sizes(N: int, params: RecurrenceParams = FIBONACCI) -> list[int]:
     """Sizes of the library walker's orbits of nonzero pairs (star or not),
     in its order; they must partition the N^2 - 1 nonzero pairs."""
-    return [len(values) for _, values in _orbits(N, params)]
+    return [len(values) for _, values in _orbits(N, params, range(1, N * N))]
 
 
 def power_subgroup(p: int, r: int) -> set[int]:

@@ -220,6 +220,14 @@ class TestVerify:
         assert all(rec["kind"] in ("verify_lucas", "skip") for rec in recs)
         assert all(not rec["payload"].get("theorem_proven", False) for rec in recs)
 
+    @pytest.mark.parametrize("value", ["1", "a,b", "1,2,3"])
+    def test_lucas_malformed(self, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", "3", "10", "--lucas", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "P,Q" in err and "_parse_lucas" not in err
+
 
 class TestColdStart:
     def test_import_skips_unused_modules(self):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fibfield.errors import CapExceeded, ModulusMismatch, SingularMatrix
+from fibfield import fibseq
+from fibfield.errors import (
+    CapExceeded,
+    InternalInvariantViolation,
+    ModulusMismatch,
+    SingularMatrix,
+)
 from fibfield.fibseq import (
     FIBONACCI,
     Mat2,
@@ -21,13 +27,21 @@ from fibfield.fibseq import (
     mat_pow,
     minimal_period,
     period_report,
+    _zero_free_starts,
     star_summary,
     value_set,
 )
 from fibfield.modarith import multiplicative_order
 from fibfield.theorem import eigen_data
 
-from conftest import naive_orbits, naive_period, orbit_sizes, power_subgroup, primes_upto
+from conftest import (
+    naive_orbits,
+    naive_period,
+    naive_star_summary,
+    orbit_sizes,
+    power_subgroup,
+    primes_upto,
+)
 
 
 def naive_mat_order(params, N):
@@ -270,3 +284,39 @@ class TestStarSummary:
         periods, subgroup_ms = star_summary(p)
         assert p - 1 in subgroup_ms
         assert p - 1 not in periods
+
+    def test_full_scan_oracle_fibonacci(self):
+        assert [p for p in primes_upto(400)[1:]
+                if star_summary(p) != naive_star_summary(p)] == []
+
+    @pytest.mark.parametrize("P,Q", [(3, 1), (1, -2), (2, -1), (4, 3)])
+    def test_full_scan_oracle_lucas(self, P, Q):
+        # includes the primes dividing P or the discriminant
+        assert [p for p in primes_upto(200)[1:] if Q % p != 0
+                and star_summary(p, RecurrenceParams(P, Q)) != naive_star_summary(p, P, Q)] == []
+
+    @pytest.mark.parametrize("P,Q", [(1, -1), (3, 1), (1, -2), (0, 1), (2, 1)])
+    def test_starts_are_the_zero_free_pairs(self, P, Q):
+        # each start lies on a zero-free orbit, once, and every pair of every
+        # zero-free orbit is a start
+        for p in (3, 5, 7, 11, 13, 17, 19):
+            if Q % p == 0:
+                continue
+            starts = list(_zero_free_starts(p, RecurrenceParams(P, Q)))
+            zero_free_pairs = {
+                (terms[i], terms[(i + 1) % len(terms)])
+                for terms in naive_orbits(p, P, Q) if 0 not in terms
+                for i in range(len(terms))
+            }
+            assert len(starts) == len(set(starts))
+            assert {divmod(start, p) for start in starts} == zero_free_pairs
+
+    def test_orbit_through_zero_raises(self, monkeypatch):
+        monkeypatch.setattr(fibseq, "_zero_free_starts", lambda p, params: range(1, p * p))
+        with pytest.raises(InternalInvariantViolation):
+            star_summary(7)
+
+    def test_singular_rejected(self):
+        # Q = 0 mod 7: the sequence 0, 1, 1, 1, ... never returns to 0, so this raises, not loops
+        with pytest.raises(SingularMatrix):
+            star_summary(7, RecurrenceParams(1, 7))
