@@ -43,7 +43,6 @@ from .theorem import (
     eigen_data,
     special_case_report,
     verify_complementary,
-    verify_lucas,
     verify_main,
 )
 
@@ -140,16 +139,14 @@ def _verify_worker(p: int, kind: str, params: RecurrenceParams, cap: int) -> dic
     if kind != "verify_lucas" and p in SPECIAL_PRIMES:
         payload = {"p": p, "reason": "special prime"}
         return make_record("skip", payload, params, cap)
-    if kind == "verify_complementary":
-        report = verify_complementary(p)
-    elif kind == "verify_main":
-        report = verify_main(p, params)
-    elif math.gcd(p, 2 * params.P * params.Q * params.discriminant) != 1:
+    if kind == "verify_lucas" and math.gcd(p, 2 * params.P * params.Q * params.discriminant) != 1:
         payload = {"p": p, "reason": "p divides 2*P*Q*(P^2-4Q)"}
         return make_record("skip", payload, params, cap)
+    if kind == "verify_complementary":
+        payload = verify_complementary(p)
     else:
-        report = verify_lucas(p, params)
-    return make_record(kind, report.payload(), params, cap)
+        payload = verify_main(p, params)
+    return make_record(kind, payload, params, cap)
 
 
 def _load_cached(path: str, kind: str, params: RecurrenceParams) -> dict[int, dict]:

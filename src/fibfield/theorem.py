@@ -6,7 +6,9 @@ zero-free sequence of minimal period m, split prime with an eigenvalue of
 order m) agree.  Disagreement on a main sweep is either an implementation
 bug or a finding about the literal conditions, such as p = 13 and 17, where
 a zero-free orbit of period 2(p+1) covers all of F_p^x; the CLI treats it
-as a hard failure (exit 1) either way.
+as a hard failure (exit 1) either way.  The same function sweeps a Lucas
+recurrence (params other than FIBONACCI), where the equivalence is only
+reported: theorem_proven is False.
 
 verify_complementary does the analogous sweep over divisors of 2(p+1) for
 the norm-subgroup statement, but only *reports* the verdicts.  F_{p^2}^x is
@@ -15,6 +17,9 @@ subgroup of order m lies in F_p exactly when m | p-1; for every other m the
 value-set reading is recorded as "inapplicable".  There are small primes
 with no zero-free sequence at all where the order condition is still
 satisfiable, so nothing here is asserted as a theorem.
+
+Both sweeps return the payload dict of one JSONL record, keyed by str(m),
+which the CLI writes as is.
 """
 
 from __future__ import annotations
@@ -131,106 +136,42 @@ def cond_order(ed: EigenData, m: int) -> bool:
     return ed.splitting == "split" and (ed.l == m or ed.l_prime == m)
 
 
-class ConditionTriple(NamedTuple):
-    """Verdicts of the three equivalent conditions for one (p, m)."""
+def verify_main(p: int, params: RecurrenceParams = FIBONACCI) -> dict:
+    """Evaluate all three conditions for every m | p-1 by one sweep and
+    return the record payload.
 
-    cond_powerset: bool
-    cond_period: bool
-    cond_order: bool
-
-    @property
-    def uniform(self) -> bool:
-        return self.cond_powerset == self.cond_period == self.cond_order
-
-
-class MainReport(NamedTuple):
-    """Per-m condition triples over all m | p-1 and the overall verdict."""
-
-    p: int
-    params: RecurrenceParams
-    triples: dict[int, ConditionTriple]
-    consistent: bool
-    theorem_proven: bool = True
-
-    def payload(self) -> dict:
-        return {
-            "p": self.p,
-            "conditions": {
-                str(m): {
-                    "powerset": t.cond_powerset,
-                    "period": t.cond_period,
-                    "order": t.cond_order,
-                }
-                for m, t in self.triples.items()
-            },
-            "consistent": self.consistent,
-            "theorem_proven": self.theorem_proven,
-        }
-
-
-def verify_main(p: int, params: RecurrenceParams = FIBONACCI) -> MainReport:
-    """Evaluate all three conditions for every m | p-1 by one O(p^2) sweep."""
+    For non-Fibonacci params the equivalence is an empirical finding, not an
+    asserted theorem: theorem_proven is False.
+    """
     if params.is_fibonacci and p in SPECIAL_PRIMES:
         raise SpecialPrime(f"p = {p}: use special_case_report")
+    if math.gcd(params.P * params.Q, p) != 1:
+        raise DegenerateDiscriminant(f"gcd(PQ, {p}) != 1")
     ed = eigen_data(p, params)
     _check_cap(p)
     periods, subgroup_ms = star_summary(p, params)
-    triples: dict[int, ConditionTriple] = {}
-    for m in divisors(factorize(p - 1)):
-        triples[m] = ConditionTriple(
-            cond_powerset=m in subgroup_ms,
-            cond_period=m in periods,
-            cond_order=cond_order(ed, m),
-        )
-    consistent = all(t.uniform for t in triples.values())
-    return MainReport(p, params, triples, consistent, theorem_proven=params.is_fibonacci)
-
-
-def verify_lucas(p: int, params: RecurrenceParams) -> MainReport:
-    """Same sweep for a general Lucas recurrence.
-
-    For non-Fibonacci params the equivalence is an empirical finding, not an
-    asserted theorem: theorem_proven is False on the report.
-    """
-    if math.gcd(params.P * params.Q, p) != 1:
-        raise DegenerateDiscriminant(f"gcd(PQ, {p}) != 1")
-    return verify_main(p, params)
-
-
-class ComplementaryEntry(NamedTuple):
-    cond_period: bool
-    cond_order: bool
-    cond_powerset_interp_a: bool | str  # bool or INAPPLICABLE
-
-
-class ComplementaryReport(NamedTuple):
-    """Reporting-only sweep over m | 2(p+1) for the norm-subgroup statement."""
-
-    p: int
-    entries: dict[int, ComplementaryEntry]
-    equivalence_23: bool
-    notes: list[str]
-
-    def payload(self) -> dict:
-        return {
-            "p": self.p,
-            "entries": {
-                str(m): {
-                    "period": e.cond_period,
-                    "order": e.cond_order,
-                    "powerset": e.cond_powerset_interp_a,
-                }
-                for m, e in self.entries.items()
-            },
-            "equivalence_23": self.equivalence_23,
-            "notes": self.notes,
+    conditions = {
+        str(m): {
+            "powerset": m in subgroup_ms,
+            "period": m in periods,
+            "order": cond_order(ed, m),
         }
+        for m in divisors(factorize(p - 1))
+    }
+    return {
+        "p": p,
+        "conditions": conditions,
+        "consistent": all(c["powerset"] == c["period"] == c["order"]
+                          for c in conditions.values()),
+        "theorem_proven": params.is_fibonacci,
+    }
 
 
-def verify_complementary(p: int) -> ComplementaryReport:
+def verify_complementary(p: int) -> dict:
     """Record, per m | 2(p+1), the period condition (brute force), the
     inert-order condition, and the literal value-set reading of the norm
-    subgroup statement.  Never asserts the equivalence.
+    subgroup statement, as the record payload.  Never asserts the
+    equivalence.
 
     For inert p the order-m subgroup of the norm subgroup lies in F_p iff
     m | p-1, and is then the order-m subgroup of F_p^x; the value-set
@@ -244,7 +185,7 @@ def verify_complementary(p: int) -> ComplementaryReport:
     periods, subgroup_ms = star_summary(p, params)
     inert = ed.splitting == "inert"
     size = 2 * (p + 1)
-    entries: dict[int, ComplementaryEntry] = {}
+    entries: dict[str, dict] = {}
     notes: list[str] = []
     for m in divisors(factorize(size)):
         period_ok = m in periods
@@ -256,9 +197,13 @@ def verify_complementary(p: int) -> ComplementaryReport:
             notes.append(f"m={m}: item-(1) subgroup leaves F_p, recorded inapplicable")
         if period_ok != order_ok:
             notes.append(f"m={m}: period={period_ok} but order={order_ok}")
-        entries[m] = ComplementaryEntry(period_ok, order_ok, powerset)
-    equivalence_23 = all(e.cond_period == e.cond_order for e in entries.values())
-    return ComplementaryReport(p, entries, equivalence_23, notes)
+        entries[str(m)] = {"period": period_ok, "order": order_ok, "powerset": powerset}
+    return {
+        "p": p,
+        "entries": entries,
+        "equivalence_23": all(e["period"] == e["order"] for e in entries.values()),
+        "notes": notes,
+    }
 
 
 def special_case_report(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -200,7 +201,7 @@ class TestVerify:
         assert "non-uniform" not in lines[0]
         assert lines[1].endswith("non-uniform at m in ['12']")
         for p, line in zip((11, 13), lines):
-            period_ms = [str(m) for m, t in verify_main(p).triples.items() if t.cond_period]
+            period_ms = [m for m, t in verify_main(p)["conditions"].items() if t["period"]]
             assert f", star periods at m in {period_ms}" in line
 
     def test_complementary_findings_are_warnings(self):
@@ -212,6 +213,46 @@ class TestVerify:
         assert rec["payload"]["entries"]["16"] == {"period": False, "order": True,
                                                    "powerset": "inapplicable"}
         assert "warning" in r.stderr
+
+    @pytest.mark.parametrize("params, digest, err", [
+        ("1,-2", "5cc2c48278b43929a8f7883111030dd7b65cecda8a67a8bd715662a280e1cbb2",
+         "warning: 7 report-only discrepancies (not theorem violations)\n"),
+        ("3,1", "5e1ae20a390673cd316e9d5866a2eada4449646281b34bf4f280f7d3bed3d2fb", ""),
+    ])
+    def test_lucas_golden(self, params, digest, err):
+        # stdout digest, stderr and exit code of verify 3 300 --lucas P,Q --json
+        r = run_cli("verify", "3", "300", "--lucas", params, "--json")
+        assert (r.returncode, r.stderr) == (0, err)
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+    def test_human_complementary(self):
+        r = run_cli("verify", "3", "30", "--complementary")
+        assert (r.returncode, r.stderr) == (
+            0, "warning: 3 report-only discrepancies (not theorem violations)\n")
+        assert r.stdout == (
+            "p = 3: equivalence_23 = False, star periods at m in []\n"
+            "p = 5: skipped (special prime)\n"
+            "p = 7: equivalence_23 = False, star periods at m in []\n"
+            "p = 11: equivalence_23 = True, star periods at m in []\n"
+            "p = 13: equivalence_23 = True, star periods at m in ['28']\n"
+            "p = 17: equivalence_23 = True, star periods at m in ['36']\n"
+            "p = 19: equivalence_23 = True, star periods at m in []\n"
+            "p = 23: equivalence_23 = False, star periods at m in []\n"
+            "p = 29: equivalence_23 = True, star periods at m in []\n")
+
+    def test_human_lucas(self):
+        r = run_cli("verify", "3", "30", "--lucas", "1,-2")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout == (
+            "p = 3: skipped (p divides 2*P*Q*(P^2-4Q))\n"
+            "p = 5: consistent = True, star periods at m in ['2', '4']\n"
+            "p = 7: consistent = True, star periods at m in ['2', '3']\n"
+            "p = 11: consistent = True, star periods at m in ['2', '10']\n"
+            "p = 13: consistent = True, star periods at m in ['2', '12']\n"
+            "p = 17: consistent = True, star periods at m in ['2', '8']\n"
+            "p = 19: consistent = True, star periods at m in ['2', '18']\n"
+            "p = 23: consistent = True, star periods at m in ['2', '11']\n"
+            "p = 29: consistent = True, star periods at m in ['2', '28']\n")
 
     def test_lucas_mode(self):
         r = run_cli("verify", "3", "30", "--lucas", "3,1", "--json")

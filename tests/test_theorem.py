@@ -14,7 +14,6 @@ from fibfield.theorem import (
     special_case_report,
     splitting_type,
     verify_complementary,
-    verify_lucas,
     verify_main,
 )
 
@@ -25,6 +24,11 @@ from conftest import (
     naive_period,
     primes_upto,
 )
+
+
+def uniform(condition: dict) -> bool:
+    """The three verdicts of one verify_main condition entry agree."""
+    return condition["powerset"] == condition["period"] == condition["order"]
 
 
 class TestSplittingType:
@@ -100,35 +104,35 @@ class TestConditions:
         assert not any(cond_order(ed7, m) for m in (1, 2, 3, 6, 16))
 
     def test_cond_period(self):
-        triples = verify_main(11).triples
-        assert triples[5].cond_period
-        assert not triples[2].cond_period
-        assert not verify_complementary(7).entries[16].cond_period
+        conditions = verify_main(11)["conditions"]
+        assert conditions["5"]["period"]
+        assert not conditions["2"]["period"]
+        assert not verify_complementary(7)["entries"]["16"]["period"]
 
     def test_cond_powerset(self):
-        triples = verify_main(11).triples
-        assert triples[5].cond_powerset
-        assert triples[10].cond_powerset  # F_{1,8} covers all of F_11^x
-        assert not triples[1].cond_powerset  # no constant nonzero sequence
+        conditions = verify_main(11)["conditions"]
+        assert conditions["5"]["powerset"]
+        assert conditions["10"]["powerset"]  # F_{1,8} covers all of F_11^x
+        assert not conditions["1"]["powerset"]  # no constant nonzero sequence
 
 
 class TestVerifyMain:
     def test_p11(self):
         r = verify_main(11)
-        assert r.consistent
-        for m, t in r.triples.items():
-            assert t.uniform
-            assert t.cond_period == (m in (5, 10))
-        assert set(r.triples) == {1, 2, 5, 10}
+        assert r["consistent"] and r["theorem_proven"]
+        for m, t in r["conditions"].items():
+            assert uniform(t)
+            assert t["period"] == (m in ("5", "10"))
+        assert set(r["conditions"]) == {"1", "2", "5", "10"}
 
     def test_p7_all_false(self):
         r = verify_main(7)
-        assert r.consistent
-        assert all(not t.cond_period and not t.cond_order and not t.cond_powerset
-                   for t in r.triples.values())
+        assert r["consistent"]
+        assert all(not t["period"] and not t["order"] and not t["powerset"]
+                   for t in r["conditions"].values())
 
     def test_p19(self):
-        assert verify_main(19).consistent
+        assert verify_main(19)["consistent"]
 
     def test_special_prime_routed(self):
         with pytest.raises(SpecialPrime):
@@ -145,45 +149,45 @@ class TestVerifyMain:
                 continue
             r = verify_main(p)
             if p in KNOWN_NONUNIFORM:
-                assert not r.consistent
-                bad = [m for m, t in r.triples.items() if not t.uniform]
-                assert bad == [KNOWN_NONUNIFORM[p]]
-                t = r.triples[KNOWN_NONUNIFORM[p]]
-                assert (t.cond_powerset, t.cond_period, t.cond_order) == (True, False, False)
+                assert not r["consistent"]
+                bad = [m for m, t in r["conditions"].items() if not uniform(t)]
+                assert bad == [str(KNOWN_NONUNIFORM[p])]
+                t = r["conditions"][str(KNOWN_NONUNIFORM[p])]
+                assert (t["powerset"], t["period"], t["order"]) == (True, False, False)
             else:
-                assert r.consistent
+                assert r["consistent"]
 
     def test_powerset_implies_period_except_known(self):
         for p in primes_upto(200):
             if p in (2, 5):
                 continue
-            for m, t in verify_main(p).triples.items():
-                if t.cond_powerset and not t.cond_period:
-                    assert KNOWN_NONUNIFORM.get(p) == m
+            for m, t in verify_main(p)["conditions"].items():
+                if t["powerset"] and not t["period"]:
+                    assert KNOWN_NONUNIFORM.get(p) == int(m)
 
 
 class TestVerifyComplementary:
     def test_p7(self):
         r = verify_complementary(7)
-        assert not r.equivalence_23
-        assert r.entries[16].cond_order and not r.entries[16].cond_period
-        assert any("m=16" in note for note in r.notes)
+        assert not r["equivalence_23"]
+        assert r["entries"]["16"]["order"] and not r["entries"]["16"]["period"]
+        assert any("m=16" in note for note in r["notes"])
 
     def test_p3(self):
         r = verify_complementary(3)
-        assert not r.equivalence_23
-        assert r.entries[8].cond_order and not r.entries[8].cond_period
+        assert not r["equivalence_23"]
+        assert r["entries"]["8"]["order"] and not r["entries"]["8"]["period"]
 
     def test_p47(self):
         r = verify_complementary(47)
-        assert r.equivalence_23
-        assert r.entries[32].cond_period and r.entries[32].cond_order
+        assert r["equivalence_23"]
+        assert r["entries"]["32"]["period"] and r["entries"]["32"]["order"]
 
     def test_keys_are_divisors_of_2p_plus_2(self):
         for p in (3, 7, 11, 13, 23):
             r = verify_complementary(p)
             size = 2 * (p + 1)
-            assert set(r.entries) == {d for d in range(1, size + 1) if size % d == 0}
+            assert set(r["entries"]) == {str(d) for d in range(1, size + 1) if size % d == 0}
 
     def test_deterministic(self):
         assert verify_complementary(23) == verify_complementary(23)
@@ -191,12 +195,12 @@ class TestVerifyComplementary:
     def test_inapplicable_marker(self):
         # subgroups of order > p-1 cannot embed in F_p^x
         r = verify_complementary(7)
-        assert r.entries[16].cond_powerset_interp_a == "inapplicable"
+        assert r["entries"]["16"]["powerset"] == "inapplicable"
 
     def test_split_prime_all_inapplicable(self):
         r = verify_complementary(11)
-        assert all(e.cond_powerset_interp_a == "inapplicable" for e in r.entries.values())
-        assert not any(e.cond_order for e in r.entries.values())
+        assert all(e["powerset"] == "inapplicable" for e in r["entries"].values())
+        assert not any(e["order"] for e in r["entries"].values())
 
     @pytest.mark.parametrize("p", [3, 7, 13, 17, 23])  # every inert p <= 23
     def test_powerset_vs_scanned_subgroups(self, p):
@@ -208,17 +212,18 @@ class TestVerifyComplementary:
                  if (c0, c1) != (0, 0)]
         orders = [ext_order(x) for x in units]
         value_sets = {frozenset(terms) for terms in naive_orbits(p) if 0 not in terms}
-        entries = verify_complementary(p).entries
+        entries = verify_complementary(p)["entries"]
         size = 2 * (p + 1)
-        assert set(entries) == {m for m in range(1, size + 1) if size % m == 0}
-        for m, entry in entries.items():
+        assert set(entries) == {str(m) for m in range(1, size + 1) if size % m == 0}
+        for key, entry in entries.items():
+            m = int(key)
             sub = [x for x, t in zip(units, orders) if m % t == 0]
             assert len(sub) == m
             if any(x.c1 != 0 for x in sub):
                 expected = "inapplicable"
             else:
                 expected = frozenset(x.c0 for x in sub) in value_sets
-            assert entry.cond_powerset_interp_a == expected, m
+            assert entry["powerset"] == expected, m
 
 
 class TestKnownFindingByHand:
@@ -274,30 +279,26 @@ class TestKnownFindingByHand:
         by_hand = all((m in star_periods) == (m in orders)
                       for m in range(1, size + 1) if size % m == 0)
         assert by_hand is expected
-        assert verify_complementary(p).equivalence_23 is expected
+        assert verify_complementary(p)["equivalence_23"] is expected
 
 
 class TestVerifyLucas:
-    def test_fibonacci_params_reduce_to_main(self):
-        assert verify_lucas(11, FIBONACCI).payload() == verify_main(11).payload()
-        assert verify_lucas(11, FIBONACCI).theorem_proven
-
     def test_inert_lucas(self):
-        r = verify_lucas(7, RecurrenceParams(3, 1))
-        assert not r.theorem_proven
-        assert r.consistent
-        assert all(not t.cond_order for t in r.triples.values())
+        r = verify_main(7, RecurrenceParams(3, 1))
+        assert not r["theorem_proven"]
+        assert r["consistent"]
+        assert all(not t["order"] for t in r["conditions"].values())
 
     def test_split_lucas_constructive(self):
-        r = verify_lucas(11, RecurrenceParams(4, 1))
-        assert r.consistent
+        r = verify_main(11, RecurrenceParams(4, 1))
+        assert r["consistent"]
         ed = eigen_data(11, RecurrenceParams(4, 1))
         assert ed.splitting == "split"
-        assert r.triples[ed.l].cond_period
+        assert r["conditions"][str(ed.l)]["period"]
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateDiscriminant):
-            verify_lucas(7, RecurrenceParams(7, 1))
+            verify_main(7, RecurrenceParams(7, 1))
 
 
 class TestSpecialCases:
