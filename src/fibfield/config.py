@@ -1,11 +1,13 @@
 """Enumeration caps and reproducibility constants.
 
 Every pair walk allocates N^2 bytes and takes O(N^2) steps: `enumerate`
-walks all N^2 pairs, and a sweep walks, per prime p, the pairs of the
-zero-free orbits (1.48 M of the 3.58 M nonzero pairs in `verify 3 400`).  So
-DEFAULT_THEOREM_CAP bounds both the primes a sweep may reach and the modulus
-of `enumerate`.  The environment variable FIBFIELD_CAP may lower the sweep
-cap, never raise it; it leaves the enumeration cap alone.
+walks all N^2 pairs.  A sweep holds, per prime p, the pair (a, a*r) at row r
+of a p^2-byte table, marks the rows of the lines r = b/a met by the orbit of
+(0, 1) and the column a = 0, and walks the cells left open, which are the
+pairs of the zero-free orbits (1.48 M of the 3.58 M nonzero pairs in
+`verify 3 400`).  So DEFAULT_THEOREM_CAP bounds both the primes a sweep may
+reach and the modulus of `enumerate`.  The environment variable FIBFIELD_CAP
+may lower the sweep cap, never raise it; it leaves the enumeration cap alone.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ import math
 from typing import NamedTuple
 
 from .config import DEFAULT_THEOREM_CAP
-from .errors import CapExceeded, InternalInvariantViolation, ModulusMismatch, SingularMatrix
-from .modarith import Factorization, factorize, least_dividing
+from .errors import BadPrime, CapExceeded, InternalInvariantViolation, ModulusMismatch, SingularMatrix
+from .modarith import Factorization, factorize, factorize_product, is_prime, least_dividing
 
 
 class RecurrenceParams(NamedTuple):
@@ -89,17 +89,12 @@ def _gl2_exponent_bound(N: int) -> Factorization:
     Composed per prime power l^e || N from l^(4e-3) * (l-1) * (l^2-1)
     (the order of GL2(Z/l^e)); for prime N this is N(N-1)(N^2-1).
     """
-    counts: dict[int, int] = {}
-
-    def merge(f: Factorization) -> None:
-        for p, e in f.factors:
-            counts[p] = counts.get(p, 0) + e
-
-    for ell, e in factorize(N).factors:
+    f = factorize(N)
+    # (l-1)(l^2-1) = (l-1)^2 (l+1), factored piecewise: l^2 - 1 may pass the width cap
+    counts = dict(factorize_product(*(k for ell in f.primes
+                                      for k in (ell - 1, ell - 1, ell + 1))).factors)
+    for ell, e in f.factors:
         counts[ell] = counts.get(ell, 0) + 4 * e - 3
-        if ell > 2:
-            merge(factorize(ell - 1))
-        merge(factorize(ell * ell - 1))
     bound = 1
     for p, e in counts.items():
         bound *= p**e
@@ -201,14 +196,12 @@ def _require_invertible(params: RecurrenceParams, N: int) -> None:
         raise SingularMatrix(f"gcd(Q={params.Q}, N={N}) != 1")
 
 
-def _orbits(N: int, params: RecurrenceParams, starts):
-    """Walk the orbits under B of the nonzero pairs a1 * N + a2 in `starts`.
+def _orbits(N: int, params: RecurrenceParams):
+    """Walk all N^2 - 1 nonzero pairs once, grouped into orbits under B.
 
-    Yields (the start at which an orbit is first met, its first coordinates
-    over one period) per orbit, in the order of `starts`; a start on an orbit
-    already walked is skipped, and `starts` is read only after N and params
-    are checked.  With starts = range(1, N * N) every nonzero pair is walked
-    once, and each orbit is met first at its lexicographically least pair.
+    Yields (a1 * N + a2 of the orbit's lexicographically least pair, first
+    coordinates over one period) per orbit, in increasing order of that
+    pair: a scan in index order meets each orbit first at its least pair.
     """
     _check_modulus(N)
     _check_cap(N)
@@ -217,7 +210,7 @@ def _orbits(N: int, params: RecurrenceParams, starts):
     negQ = (-params.Q) % N
     fib_step = P == 1 and negQ == 1
     visited = bytearray(N * N)
-    for start in starts:
+    for start in range(1, N * N):
         if visited[start]:
             continue
         a, b = divmod(start, N)
@@ -240,27 +233,26 @@ def _orbits(N: int, params: RecurrenceParams, starts):
         yield start, values
 
 
-def _zero_free_starts(p: int, params: RecurrenceParams):
-    """The pairs (a, a*r), a != 0, on lines r = b/a that miss the orbit of
-    (0, 1), as indices a * p + b, for the prime p.
+def _zero_free_table(p: int, params: RecurrenceParams) -> bytearray:
+    """A p*p table holding the pair (a, a*r) at index r * p + a, for the
+    prime p, with exactly the cells off the zero-free orbits marked.
 
     B commutes with scalars, so every orbit through 0 is c times the orbit
-    of (0, 1) and lies on the lines through that orbit's first alpha points
-    (alpha the rank of apparition); the line a = 0 is one of them.  Lazy:
-    `_orbits` checks p and Q (with Q = 0 mod p the orbit of (0, 1) may never
-    return to 0) before the first start is read.
+    of (0, 1) and lies on the lines r = b/a through that orbit's first alpha
+    points (alpha the rank of apparition); each such line is marked as a
+    whole row, and the column a = 0 (the zero pair) as well.  Q must be a
+    unit mod p, or the orbit of (0, 1) may never return to 0.
     """
     P, Q = params.P % p, params.Q % p
-    on_zero_orbit = bytearray(p)
+    row = b"\x01" * p
+    table = bytearray(p * p)
+    table[0::p] = row
     a, b = 1, P
     while a:
-        on_zero_orbit[b * pow(a, -1, p) % p] = 1
+        r = b * pow(a, -1, p) % p
+        table[r * p:r * p + p] = row
         a, b = b, (P * b - Q * a) % p
-    ratios = [r for r in range(p) if not on_zero_orbit[r]]
-    for a in range(1, p):
-        row = a * p
-        for r in ratios:
-            yield row + a * r % p
+    return table
 
 
 def star_summary(
@@ -268,22 +260,48 @@ def star_summary(
 ) -> tuple[set[int], set[int]]:
     """Periods of the zero-free orbits mod the prime p, and the m whose
     order-m subgroup of F_p^x is one of their value sets, from one walk of
-    the pairs off the lines of the orbit of (0, 1).
+    the open cells of `_zero_free_table`.
+
+    B takes (a, a*r) to (a*r, a*(P - Q/r)): the scalar a is multiplied by r,
+    and the line r steps to nxt[r] = P - Q/r.  A walk that meets a marked
+    cell before its start has left the zero-free lines (r = 0 steps to the
+    marked column a = 0), so it raises instead of looping.
 
     A value set V of m residues is that subgroup iff m | p-1 and v^m = 1 for
     every v in V: x^m - 1 has at most m roots, so V is all of them.
     """
+    _check_modulus(p)
+    _check_cap(p)
+    if not is_prime(p):
+        raise BadPrime(f"p = {p} is not prime")
+    _require_invertible(params, p)
+    visited = _zero_free_table(p, params)
+    P, negQ = params.P % p, (-params.Q) % p
+    nxt = [0] + [(P + negQ * pow(r, -1, p)) % p for r in range(1, p)]
     periods: set[int] = set()
     subgroup_ms: set[int] = set()
-    for start, values in _orbits(p, params, _zero_free_starts(p, params)):
-        if 0 in values:
+    start = visited.find(0)
+    while start >= 0:
+        r, a = divmod(start, p)
+        idx = start
+        values = []
+        append = values.append
+        while not visited[idx]:
+            visited[idx] = 1
+            append(a)
+            a = a * r % p
+            r = nxt[r]
+            idx = r * p + a
+        if idx != start:
             raise InternalInvariantViolation(
-                f"orbit of pair {divmod(start, p)} mod {p} meets 0 off the lines of (0, 1)")
+                f"walk from line {start // p}, scalar {start % p} mod {p} "
+                f"leaves the zero-free lines")
         periods.add(len(values))
         distinct = set(values)
         m = len(distinct)
         if (p - 1) % m == 0 and all(pow(v, m, p) == 1 for v in distinct):
             subgroup_ms.add(m)
+        start = visited.find(0, start + 1)
     return periods, subgroup_ms
 
 
@@ -295,6 +313,6 @@ def enumerate_star(
     return [
         (SequenceId(N, *divmod(rep, N), params),
          PeriodReport(len(values), True, frozenset(values)))
-        for rep, values in _orbits(N, params, range(1, N * N))
+        for rep, values in _orbits(N, params)
         if 0 not in values
     ]

@@ -19,7 +19,7 @@ from .errors import (
     SplitContext,
     ZeroElement,
 )
-from .modarith import factorize, is_prime, least_dividing, legendre
+from .modarith import factorize_product, is_prime, least_dividing, legendre
 
 
 class _QuadContextFields(NamedTuple):
@@ -140,4 +140,5 @@ def ext_order(x: QuadElement) -> int:
     one = x.ctx.one()
     if q_pow(x, group) != one:
         raise InternalInvariantViolation(f"{x}^{group} != 1")
-    return least_dividing(factorize(group), lambda t: q_pow(x, t) == one)
+    return least_dividing(factorize_product(x.ctx.p - 1, x.ctx.p + 1),
+                          lambda t: q_pow(x, t) == one)

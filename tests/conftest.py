@@ -72,7 +72,7 @@ def naive_star_summary(p: int, P: int = 1, Q: int = -1) -> tuple[set[int], set[i
 def orbit_sizes(N: int, params: RecurrenceParams = FIBONACCI) -> list[int]:
     """Sizes of the library walker's orbits of nonzero pairs (star or not),
     in its order; they must partition the N^2 - 1 nonzero pairs."""
-    return [len(values) for _, values in _orbits(N, params, range(1, N * N))]
+    return [len(values) for _, values in _orbits(N, params)]
 
 
 def power_subgroup(p: int, r: int) -> set[int]:

@@ -9,7 +9,7 @@ import pytest
 
 from fibfield import cli, fibseq
 from fibfield.errors import InternalInvariantViolation
-from fibfield.theorem import verify_main
+from fibfield.theorem import check_eigen_invariants, verify_main
 
 PKG = [sys.executable, "-m", "fibfield"]
 
@@ -50,6 +50,17 @@ class TestAnalyze:
 
     def test_usage_error(self):
         assert run_cli("analyze", "9", "--json").returncode == 2
+
+    @pytest.mark.parametrize("p,splitting", [(3000000019, "split"), (3000000037, "inert")])
+    def test_past_the_square_width(self, p, splitting):
+        # p^2 - 1 passes the 2^62 width cap, p itself does not
+        r = run_cli("analyze", str(p), "--json")
+        assert r.returncode == 0, r.stderr
+        (rec,) = records(r.stdout)
+        payload = rec["payload"]
+        assert payload["splitting"] == splitting
+        assert payload["mat_order"] == payload["M1"]
+        assert check_eigen_invariants(p).M1 == payload["M1"]
 
 
 class TestEnumerate:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fibfield import fibseq
 from fibfield.errors import (
+    BadPrime,
     CapExceeded,
     InternalInvariantViolation,
     ModulusMismatch,
@@ -27,7 +28,7 @@ from fibfield.fibseq import (
     mat_pow,
     minimal_period,
     period_report,
-    _zero_free_starts,
+    _zero_free_table,
     star_summary,
     value_set,
 )
@@ -297,22 +298,31 @@ class TestStarSummary:
 
     @pytest.mark.parametrize("P,Q", [(1, -1), (3, 1), (1, -2), (0, 1), (2, 1)])
     def test_starts_are_the_zero_free_pairs(self, P, Q):
-        # each start lies on a zero-free orbit, once, and every pair of every
-        # zero-free orbit is a start
+        # the cells the table leaves open, mapped back from index r * p + a to
+        # the pair (a, a*r), are exactly the pairs of the zero-free orbits
         for p in (3, 5, 7, 11, 13, 17, 19):
             if Q % p == 0:
                 continue
-            starts = list(_zero_free_starts(p, RecurrenceParams(P, Q)))
+            table = _zero_free_table(p, RecurrenceParams(P, Q))
+            open_pairs = [(idx % p, idx % p * (idx // p) % p)
+                          for idx in range(p * p) if not table[idx]]
             zero_free_pairs = {
                 (terms[i], terms[(i + 1) % len(terms)])
                 for terms in naive_orbits(p, P, Q) if 0 not in terms
                 for i in range(len(terms))
             }
-            assert len(starts) == len(set(starts))
-            assert {divmod(start, p) for start in starts} == zero_free_pairs
+            assert len(open_pairs) == len(set(open_pairs))
+            assert set(open_pairs) == zero_free_pairs
 
     def test_orbit_through_zero_raises(self, monkeypatch):
-        monkeypatch.setattr(fibseq, "_zero_free_starts", lambda p, params: range(1, p * p))
+        # a table with one row of the orbit of (0, 1) left open: the walk from
+        # that row meets a marked cell, and raises rather than loops
+        def leaky_table(p, params):
+            table = _zero_free_table(p, params)
+            table[1 * p + 1:2 * p] = bytes(p - 1)  # the line r = 1 = P, through (1, 1)
+            return table
+
+        monkeypatch.setattr(fibseq, "_zero_free_table", leaky_table)
         with pytest.raises(InternalInvariantViolation):
             star_summary(7)
 
@@ -320,3 +330,12 @@ class TestStarSummary:
         # Q = 0 mod 7: the sequence 0, 1, 1, 1, ... never returns to 0, so this raises, not loops
         with pytest.raises(SingularMatrix):
             star_summary(7, RecurrenceParams(1, 7))
+
+    @pytest.mark.parametrize("N", [9, 15])
+    def test_composite_rejected(self, N):
+        with pytest.raises(BadPrime):
+            star_summary(N)
+
+    def test_two(self):
+        # every nonzero pair mod 2 is on the orbit of (0, 1)
+        assert star_summary(2) == (set(), set())

@@ -11,6 +11,7 @@ from fibfield.modarith import (
     Factorization,
     divisors,
     factorize,
+    factorize_product,
     is_prime,
     least_dividing,
     legendre,
@@ -95,6 +96,15 @@ class TestFactorize:
             n = rng.getrandbits(60) | 1
             if n > 1:
                 factorize(n)
+
+    def test_product(self):
+        assert factorize_product() == factorize(1)
+        assert factorize_product(12, 10, 7) == factorize(840)
+        p = 3000000019
+        f = factorize_product(p - 1, p + 1)
+        assert f.n == p * p - 1 >= 1 << 62
+        with pytest.raises(ValueError):
+            factorize(f.n)
 
     def test_invalid_factorization_rejected(self):
         with pytest.raises(ValueError):
