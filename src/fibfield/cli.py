@@ -41,7 +41,6 @@ from .modarith import is_prime
 from .theorem import (
     SPECIAL_PRIMES,
     eigen_data,
-    special_case_report,
     verify_complementary,
     verify_main,
 )
@@ -91,7 +90,7 @@ def cmd_analyze(args) -> int:
     params = args.params
     p = args.p
     if params.is_fibonacci and p in SPECIAL_PRIMES:
-        reports = special_case_report(p)
+        reports = enumerate_star(p)
         payload = {"p": p, "splitting": "special", "orbits": _orbit_payloads(reports)}
         record = make_record("analyze", payload, params, theorem_cap())
         if args.json:
@@ -136,12 +135,10 @@ def cmd_analyze(args) -> int:
 def _verify_worker(p: int, kind: str, params: RecurrenceParams, cap: int) -> dict:
     """Compute one per-prime record; must stay a module-level function so the
     multiprocessing pool can pickle it."""
-    if kind != "verify_lucas" and p in SPECIAL_PRIMES:
-        payload = {"p": p, "reason": "special prime"}
-        return make_record("skip", payload, params, cap)
-    if kind == "verify_lucas" and math.gcd(p, 2 * params.P * params.Q * params.discriminant) != 1:
-        payload = {"p": p, "reason": "p divides 2*P*Q*(P^2-4Q)"}
-        return make_record("skip", payload, params, cap)
+    # for Fibonacci params 2*P*Q*D = -10, so this skips exactly the special primes 2 and 5
+    if math.gcd(p, 2 * params.P * params.Q * params.discriminant) != 1:
+        reason = "special prime" if params.is_fibonacci else "p divides 2*P*Q*(P^2-4Q)"
+        return make_record("skip", {"p": p, "reason": reason}, params, cap)
     if kind == "verify_complementary":
         payload = verify_complementary(p)
     else:

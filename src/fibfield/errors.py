@@ -10,7 +10,8 @@ class NotInvertible(FibfieldError):
 
 
 class BadGroupOrder(FibfieldError):
-    """Claimed group order is not annihilating: a^order != 1."""
+    """A claimed multiple of an order or period is not one (a^t != 1,
+    B^t != Id or B^t v != v); raised by modarith.least_dividing."""
 
 
 class BadPrime(FibfieldError):
@@ -18,7 +19,7 @@ class BadPrime(FibfieldError):
 
 
 class CapExceeded(FibfieldError):
-    """Modulus exceeds the configured enumeration cap."""
+    """A prime, modulus or period exceeds its configured cap."""
 
 
 class ContextMismatch(FibfieldError):
@@ -46,7 +47,7 @@ class DegenerateDiscriminant(FibfieldError):
 
 
 class SpecialPrime(FibfieldError):
-    """p in {2, 5}: handled by the special-case report, not the main sweep."""
+    """p in {2, 5}: a Fibonacci sweep skips it; enumerate_star lists its orbits."""
 
 
 class InternalInvariantViolation(FibfieldError):

@@ -107,10 +107,7 @@ def mat_order(params: RecurrenceParams, N: int) -> int:
     _require_invertible(params, N)
     B = companion_matrix(params, N)
     ident = Mat2.identity(N)
-    bound = _gl2_exponent_bound(N)
-    if mat_pow(B, bound.n) != ident:
-        raise InternalInvariantViolation(f"B^{bound.n} != Id mod {N}")
-    return least_dividing(bound, lambda t: mat_pow(B, t) == ident)
+    return least_dividing(_gl2_exponent_bound(N), lambda t: mat_pow(B, t) == ident)
 
 
 class _SequenceIdFields(NamedTuple):
@@ -153,8 +150,9 @@ def minimal_period(seq: SequenceId) -> int:
     """Least k >= 1 with B^k (a1,a2)^T = (a1,a2)^T; the zero pair gives 1.
 
     The period divides mat_order, so it is found by stripping primes from
-    it; the direct iteration strategy lives in the test oracles and must
-    agree.
+    it, and a mat_order that the period does not divide raises
+    BadGroupOrder; the direct iteration strategy lives in the test oracles
+    and must agree.
     """
     if seq.a1 == 0 and seq.a2 == 0:
         return 1
@@ -165,8 +163,16 @@ def minimal_period(seq: SequenceId) -> int:
 
 
 def period_report(seq: SequenceId) -> PeriodReport:
-    """Minimal period, nonvanishing flag and value set from one period of terms."""
-    terms = generate(seq, minimal_period(seq))
+    """Minimal period, nonvanishing flag and value set from one period of terms.
+
+    One period is held in memory, so a period longer than the pair budget of
+    the largest `enumerate` (DEFAULT_THEOREM_CAP^2 terms) raises CapExceeded
+    before any term is generated.
+    """
+    k = minimal_period(seq)
+    if k > DEFAULT_THEOREM_CAP**2:
+        raise CapExceeded(f"period {k} exceeds the cap of {DEFAULT_THEOREM_CAP**2} terms")
+    terms = generate(seq, k)
     return PeriodReport(len(terms), 0 not in terms, frozenset(terms))
 
 
@@ -202,13 +208,14 @@ def _orbits(N: int, params: RecurrenceParams):
     Yields (a1 * N + a2 of the orbit's lexicographically least pair, first
     coordinates over one period) per orbit, in increasing order of that
     pair: a scan in index order meets each orbit first at its least pair.
+    It serves `enumerate_star` only, with one step (a, b) -> (b, P*b - Q*a)
+    for every (P, Q): a Fibonacci add-and-compare step measured no faster.
     """
     _check_modulus(N)
     _check_cap(N)
     _require_invertible(params, N)
     P = params.P % N
     negQ = (-params.Q) % N
-    fib_step = P == 1 and negQ == 1
     visited = bytearray(N * N)
     for start in range(1, N * N):
         if visited[start]:
@@ -220,13 +227,7 @@ def _orbits(N: int, params: RecurrenceParams):
         while True:
             visited[idx] = 1
             append(a)
-            if fib_step:
-                t = a + b
-                if t >= N:
-                    t -= N
-                a, b = b, t
-            else:
-                a, b = b, (P * b + negQ * a) % N
+            a, b = b, (P * b + negQ * a) % N
             idx = a * N + b
             if idx == start:
                 break

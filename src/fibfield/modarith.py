@@ -43,7 +43,8 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     _check_width(n)
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    # trial division by the bases leaves n > 37, so no base is a multiple of n
+    for p in MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -173,13 +174,16 @@ def divisors(f: Factorization) -> list[int]:
 def least_dividing(f: Factorization, holds: Callable[[int], bool]) -> int:
     """Least t | f.n with holds(t), by stripping primes from f.n.
 
-    holds(f.n) must be true, and the divisors of f.n that satisfy holds must
-    be exactly the multiples of one of them, as for x^t = 1 (t a multiple of
-    the order of x) or B^t v = v (t a multiple of the period of v).  Every
-    order and period in fibfield is computed here; the naive loops live in
-    the test oracles.
+    The divisors of f.n that satisfy holds must be exactly the multiples of
+    one of them, as for x^t = 1 (t a multiple of the order of x) or
+    B^t v = v (t a multiple of the period of v).  f.n must be such a
+    multiple: BadGroupOrder is raised when holds(f.n) is false.  Every order
+    and period in fibfield is computed here; the naive loops live in the
+    test oracles.
     """
     t = f.n
+    if not holds(t):
+        raise BadGroupOrder(f"{t} is not a multiple of the order or period sought")
     for p in f.primes:
         while t % p == 0 and holds(t // p):
             t //= p
@@ -191,8 +195,6 @@ def multiplicative_order(a: int, n: int, group_order: int) -> int:
     a %= n
     if math.gcd(a, n) != 1:
         raise NotInvertible(f"gcd({a}, {n}) != 1")
-    if pow(a, group_order, n) != 1:
-        raise BadGroupOrder(f"{a}^{group_order} != 1 mod {n}")
     return least_dividing(factorize(group_order), lambda t: pow(a, t, n) == 1)
 
 

@@ -37,10 +37,7 @@ from .errors import (
 )
 from .fibseq import (
     FIBONACCI,
-    PeriodReport,
     RecurrenceParams,
-    SequenceId,
-    enumerate_star,
     mat_order,
     star_summary,
 )
@@ -144,7 +141,7 @@ def verify_main(p: int, params: RecurrenceParams = FIBONACCI) -> dict:
     asserted theorem: theorem_proven is False.
     """
     if params.is_fibonacci and p in SPECIAL_PRIMES:
-        raise SpecialPrime(f"p = {p}: use special_case_report")
+        raise SpecialPrime(f"p = {p} is a special prime; enumerate_star lists its orbits")
     if math.gcd(params.P * params.Q, p) != 1:
         raise DegenerateDiscriminant(f"gcd(PQ, {p}) != 1")
     ed = eigen_data(p, params)
@@ -178,7 +175,7 @@ def verify_complementary(p: int) -> dict:
     reading is tested only there and is "inapplicable" otherwise.
     """
     if p in SPECIAL_PRIMES:
-        raise SpecialPrime(f"p = {p}: use special_case_report")
+        raise SpecialPrime(f"p = {p} is a special prime; enumerate_star lists its orbits")
     params = FIBONACCI
     ed = eigen_data(p, params)
     _check_cap(p)
@@ -204,15 +201,6 @@ def verify_complementary(p: int) -> dict:
         "equivalence_23": all(e["period"] == e["order"] for e in entries.values()),
         "notes": notes,
     }
-
-
-def special_case_report(
-    p: int, params: RecurrenceParams = FIBONACCI
-) -> list[tuple[SequenceId, PeriodReport]]:
-    """Concrete zero-free orbit listing for the excluded primes 2 and 5."""
-    if p not in SPECIAL_PRIMES:
-        raise BadPrime(f"p = {p} is not a special prime (2 or 5)")
-    return enumerate_star(p, params)
 
 
 def check_eigen_invariants(p: int, params: RecurrenceParams = FIBONACCI) -> EigenData:

@@ -39,7 +39,7 @@ from fibfield.modarith import (
     legendre,
     multiplicative_order,
 )
-from fibfield.quadext import fibonacci_context, norm, ext_order
+from fibfield.quadext import QuadContext, norm, ext_order
 from fibfield.theorem import check_eigen_invariants, eigen_data
 
 from conftest import KNOWN_NONUNIFORM, naive_order, naive_period, power_subgroup, primes_upto
@@ -129,7 +129,7 @@ def test_criterion_3_proof_ingredient_invariants():
     for p in primes_upto(100):
         if p in (2, 5) or p % 5 in (1, 4):
             continue
-        ctx = fibonacci_context(p)
+        ctx = QuadContext(p, 1, -1)
         elements = [ctx.element(c0, c1) for c0 in range(p) for c1 in range(p)
                     if (c0, c1) != (0, 0)]
         if sum(1 for x in elements if norm(x) in (1, p - 1)) != 2 * (p + 1):
@@ -147,7 +147,7 @@ def test_criterion_4_oracle_equivalence():
             if multiplicative_order(a, p, p - 1) != naive_order(a, p):
                 failures.append(("order", p, a))
     for p in (3, 7, 13, 17):  # inert Fibonacci contexts, p <= 20
-        ctx = fibonacci_context(p)
+        ctx = QuadContext(p, 1, -1)
         one = ctx.one()
         for c0 in range(p):
             for c1 in range(p):

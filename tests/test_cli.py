@@ -113,6 +113,20 @@ class TestPeriod:
         assert rec["payload"]["period"] == 1
         assert not rec["payload"]["star"]
 
+    @pytest.mark.parametrize("argv,period", [
+        (["period", "99991", "5", "7", "--lucas", "2,3"], 1999640016),
+        (["period", "1000000007", "1", "1"], 2000000016),
+    ])
+    def test_over_cap(self, monkeypatch, capsys, argv, period):
+        def no_terms(seq, count):
+            raise AssertionError(f"generated {count} terms")
+
+        monkeypatch.setattr(fibseq, "generate", no_terms)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: period {period} exceeds the cap of 16777216 terms\n")
+
 
 class TestModulus:
     @pytest.mark.parametrize("argv", [
@@ -145,6 +159,22 @@ class TestVerify:
         recs = records(run_cli("verify", "2", "7", "--json").stdout)
         kinds = {rec["payload"]["p"]: rec["kind"] for rec in recs}
         assert kinds == {2: "skip", 3: "verify_main", 5: "skip", 7: "verify_main"}
+
+    @pytest.mark.parametrize("extra,digest,err,reason", [
+        ([], "f6e7946b199e612b0eb72d83605222ef72b08b16a5d7c1f15ece7ec03e07c878", "",
+         "special prime"),
+        (["--complementary"], "46d8a5127a8653992425eabed3a5afc3dd344694b15831ef136ea24132fd5b6c",
+         "warning: 2 report-only discrepancies (not theorem violations)\n", "special prime"),
+        (["--lucas", "3,1"], "30a305cfe1637258574ee2179a7f35eba28f1e270971a6d738dd62703328283e", "",
+         "p divides 2*P*Q*(P^2-4Q)"),
+    ])
+    def test_skip_p2_golden(self, extra, digest, err, reason):
+        # stdout digest, stderr and exit code of verify 2 12 --json, whose first record
+        # skips p = 2 by gcd(p, 2*P*Q*D) != 1
+        r = run_cli("verify", "2", "12", "--json", *extra)
+        assert (r.returncode, r.stderr) == (0, err)
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+        assert records(r.stdout)[0]["payload"] == {"p": 2, "reason": reason}
 
     def test_violation_detected(self):
         # the literal value-set condition really does disagree at p = 13

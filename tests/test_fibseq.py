@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fibfield import fibseq
 from fibfield.errors import (
+    BadGroupOrder,
     BadPrime,
     CapExceeded,
     InternalInvariantViolation,
@@ -145,6 +146,12 @@ class TestMinimalPeriod:
             seq = SequenceId(N, rng.randrange(N), rng.randrange(N), FIBONACCI)
             assert mat_order(FIBONACCI, N) % minimal_period(seq) == 0
 
+    def test_wrong_mat_order_raises(self, monkeypatch):
+        # (1, 1) mod 7 has period 16, which does not divide a claimed order of 1
+        monkeypatch.setattr(fibseq, "mat_order", lambda params, N: 1)
+        with pytest.raises(BadGroupOrder):
+            minimal_period(SequenceId(7, 1, 1, FIBONACCI))
+
     def test_iteration_oracle(self):
         for p in primes_upto(100):
             rng = random.Random(p)
@@ -234,7 +241,7 @@ class TestEnumerateStar:
     @example(13, 1, -1)
     @example(20, 1, -1)
     def test_orbit_walk_oracle_property(self, N, P, Q):
-        # covers both the Fibonacci add-and-compare step and the generic step
+        # Fibonacci params included: every (P, Q) takes the one generic step
         assume(math.gcd(Q, N) == 1)
         params = RecurrenceParams(P, Q)
         orbits = naive_orbits(N, P, Q)

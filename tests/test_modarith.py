@@ -133,6 +133,11 @@ class TestLeastDividing:
         assert least_dividing(f, lambda t: True) == 1
         assert least_dividing(f, lambda t: t == 360) == 360
 
+    def test_not_a_multiple(self):
+        # 360 is no multiple of 7, so no divisor of it holds
+        with pytest.raises(BadGroupOrder):
+            least_dividing(factorize(360), lambda t: t % 7 == 0)
+
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
     def test_multiples_of_a_divisor(self, n, k):
         d = math.gcd(n, k)

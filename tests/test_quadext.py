@@ -10,7 +10,6 @@ from fibfield.quadext import (
     QuadContext,
     conjugate,
     ext_order,
-    fibonacci_context,
     norm,
     q_mul,
     q_pow,
@@ -38,19 +37,19 @@ def naive_ext_order(x):
 
 class TestRingOps:
     def test_mul_identity(self):
-        ctx = fibonacci_context(7)
+        ctx = QuadContext(7, 1, -1)
         x = ctx.element(3, 5)
         assert q_mul(x, ctx.one()) == x
 
     def test_char_poly_reduction(self):
-        ctx = fibonacci_context(7)
+        ctx = QuadContext(7, 1, -1)
         lam = ctx.lam()
         assert q_mul(lam, lam) == ctx.element(1, 1)  # lam^2 = lam + 1
         # lam * (1 + lam) = lam + lam^2 = 1 + 2 lam
         assert q_mul(lam, ctx.element(1, 1)) == ctx.element(1, 2)
 
     def test_pow(self):
-        ctx = fibonacci_context(7)
+        ctx = QuadContext(7, 1, -1)
         lam = ctx.lam()
         assert q_pow(lam, 0) == ctx.one()
         assert q_pow(lam, 8) == ctx.element(6, 0)  # Nr(lam) = lam^{p+1} = -1
@@ -58,10 +57,10 @@ class TestRingOps:
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
-            q_mul(fibonacci_context(7).lam(), fibonacci_context(11).lam())
+            q_mul(QuadContext(7, 1, -1).lam(), QuadContext(11, 1, -1).lam())
 
     def test_pow_matches_repeated_mul(self):
-        ctx = fibonacci_context(13)
+        ctx = QuadContext(13, 1, -1)
         rng = random.Random(2)
         for _ in range(50):
             x = ctx.element(rng.randrange(13), rng.randrange(13))
@@ -73,23 +72,23 @@ class TestRingOps:
 
 class TestConjugate:
     def test_fixed_field(self):
-        ctx = fibonacci_context(7)
+        ctx = QuadContext(7, 1, -1)
         assert conjugate(ctx.element(4)) == ctx.element(4)
 
     def test_lambda(self):
-        assert conjugate(fibonacci_context(7).lam()) == fibonacci_context(7).element(1, 6)
+        assert conjugate(QuadContext(7, 1, -1).lam()) == QuadContext(7, 1, -1).element(1, 6)
         ctx = QuadContext(11, 1, 1)  # D = -3, inert mod 11
         assert ctx.is_inert
         assert conjugate(ctx.lam()) == ctx.element(1, 10)
 
     @given(st.sampled_from([3, 7, 13, 17]), st.integers(0, 16), st.integers(0, 16))
     def test_involution(self, p, c0, c1):
-        x = fibonacci_context(p).element(c0, c1)
+        x = QuadContext(p, 1, -1).element(c0, c1)
         assert conjugate(conjugate(x)) == x
 
     def test_frobenius_identity(self):
         for p in FIB_INERT:
-            ctx = fibonacci_context(p)
+            ctx = QuadContext(p, 1, -1)
             rng = random.Random(p)
             sample = [ctx.element(rng.randrange(p), rng.randrange(p)) for _ in range(20)]
             if p <= 20:
@@ -100,16 +99,16 @@ class TestConjugate:
 
 class TestNorm:
     def test_one(self):
-        assert norm(fibonacci_context(7).one()) == 1
+        assert norm(QuadContext(7, 1, -1).one()) == 1
 
     def test_lambda(self):
-        ctx = fibonacci_context(7)
+        ctx = QuadContext(7, 1, -1)
         assert norm(ctx.lam()) == 6  # lam(1 - lam) = -1
         assert norm(ctx.element(0, 2)) == 3  # Nr(2) * Nr(lam) = 4 * -1
 
     def test_multiplicative(self):
         for p in (7, 13, 43):
-            ctx = fibonacci_context(p)
+            ctx = QuadContext(p, 1, -1)
             rng = random.Random(p)
             for _ in range(1000):
                 x = ctx.element(rng.randrange(p), rng.randrange(p))
@@ -118,38 +117,38 @@ class TestNorm:
 
     def test_surjective(self):
         for p in [q for q in FIB_INERT if q <= 100]:
-            ctx = fibonacci_context(p)
+            ctx = QuadContext(p, 1, -1)
             images = {norm(x) for x in all_elements(ctx) if not x.is_zero()}
             assert images == set(range(1, p))
 
     def test_norm_pm_one_count(self):
         for p in [q for q in FIB_INERT if q <= 100]:
-            ctx = fibonacci_context(p)
+            ctx = QuadContext(p, 1, -1)
             count = sum(1 for x in all_elements(ctx) if norm(x) in (1, p - 1))
             assert count == 2 * (p + 1)
 
 
 class TestExtOrder:
     def test_one(self):
-        assert ext_order(fibonacci_context(7).one()) == 1
+        assert ext_order(QuadContext(7, 1, -1).one()) == 1
 
     def test_lambda(self):
-        assert ext_order(fibonacci_context(7).lam()) == 16
-        assert ext_order(fibonacci_context(3).lam()) == 8  # |F_9^x| = 8
+        assert ext_order(QuadContext(7, 1, -1).lam()) == 16
+        assert ext_order(QuadContext(3, 1, -1).lam()) == 8  # |F_9^x| = 8
 
     def test_zero(self):
         with pytest.raises(ZeroElement):
-            ext_order(fibonacci_context(7).element(0, 0))
+            ext_order(QuadContext(7, 1, -1).element(0, 0))
 
     def test_split_context_refused(self):
-        ctx = fibonacci_context(11)  # 11 = 1 mod 5: split
+        ctx = QuadContext(11, 1, -1)  # 11 = 1 mod 5: split
         assert not ctx.is_inert
         with pytest.raises(SplitContext):
             ext_order(ctx.lam())
 
     def test_divides_group_order_and_naive(self):
         for p in [q for q in FIB_INERT if q <= 47]:
-            ctx = fibonacci_context(p)
+            ctx = QuadContext(p, 1, -1)
             rng = random.Random(p)
             sample = [ctx.element(rng.randrange(p), rng.randrange(p)) for _ in range(15)]
             if p <= 20:
@@ -167,7 +166,7 @@ class TestContext:
         for p in primes_upto(100):
             if p <= 2:
                 continue
-            ctx = fibonacci_context(p)
+            ctx = QuadContext(p, 1, -1)
             assert ctx.is_inert == (legendre(5, p) == -1)
 
     def test_rejects_bad_prime(self):

@@ -6,12 +6,11 @@ import pytest
 
 from fibfield.errors import BadPrime, DegenerateDiscriminant, SpecialPrime
 from fibfield.fibseq import FIBONACCI, RecurrenceParams, mat_order, mat_pow, companion_matrix, Mat2
-from fibfield.quadext import ext_order, fibonacci_context
+from fibfield.quadext import QuadContext, ext_order
 from fibfield.theorem import (
     check_eigen_invariants,
     cond_order,
     eigen_data,
-    special_case_report,
     splitting_type,
     verify_complementary,
     verify_main,
@@ -207,7 +206,7 @@ class TestVerifyComplementary:
         # the order-m subgroup of F_{p^2}^x, found by scanning every nonzero
         # element, either leaves F_p (inapplicable) or is a set of residues
         # that must be a zero-free value set exactly when the sweep says so
-        ctx = fibonacci_context(p)
+        ctx = QuadContext(p, 1, -1)
         units = [ctx.element(c0, c1) for c0 in range(p) for c1 in range(p)
                  if (c0, c1) != (0, 0)]
         orders = [ext_order(x) for x in units]
@@ -299,20 +298,3 @@ class TestVerifyLucas:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateDiscriminant):
             verify_main(7, RecurrenceParams(7, 1))
-
-
-class TestSpecialCases:
-    def test_p2_empty(self):
-        assert special_case_report(2) == []
-
-    def test_p5_single_orbit(self):
-        reports = special_case_report(5)
-        assert len(reports) == 1
-        seq, rep = reports[0]
-        assert (seq.a1, seq.a2) == (1, 3)
-        assert rep.minimal_period == 4
-        assert rep.value_set == {1, 2, 3, 4}
-
-    def test_bad_prime(self):
-        with pytest.raises(BadPrime):
-            special_case_report(7)
