@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import ExitStack
 from functools import partial
@@ -40,6 +39,7 @@ from .fibseq import (
 from .modarith import is_prime
 from .theorem import (
     SPECIAL_PRIMES,
+    degeneracy,
     eigen_data,
     verify_complementary,
     verify_main,
@@ -135,8 +135,8 @@ def cmd_analyze(args) -> int:
 def _verify_worker(p: int, kind: str, params: RecurrenceParams, cap: int) -> dict:
     """Compute one per-prime record; must stay a module-level function so the
     multiprocessing pool can pickle it."""
-    # for Fibonacci params 2*P*Q*D = -10, so this skips exactly the special primes 2 and 5
-    if math.gcd(p, 2 * params.P * params.Q * params.discriminant) != 1:
+    # p = 2 is no odd prime; for Fibonacci params this skips exactly the special primes 2 and 5
+    if p == 2 or degeneracy(p, params) is not None:
         reason = "special prime" if params.is_fibonacci else "p divides 2*P*Q*(P^2-4Q)"
         return make_record("skip", {"p": p, "reason": reason}, params, cap)
     if kind == "verify_complementary":

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .config import DEFAULT_THEOREM_CAP
 from .errors import BadPrime, CapExceeded, InternalInvariantViolation, ModulusMismatch, SingularMatrix
-from .modarith import Factorization, factorize, factorize_product, is_prime, least_dividing
+from .modarith import Factorization, factorize, is_prime, least_dividing
 
 
 class RecurrenceParams(NamedTuple):
@@ -89,11 +89,12 @@ def _gl2_exponent_bound(N: int) -> Factorization:
     Composed per prime power l^e || N from l^(4e-3) * (l-1) * (l^2-1)
     (the order of GL2(Z/l^e)); for prime N this is N(N-1)(N^2-1).
     """
-    f = factorize(N)
-    # (l-1)(l^2-1) = (l-1)^2 (l+1), factored piecewise: l^2 - 1 may pass the width cap
-    counts = dict(factorize_product(*(k for ell in f.primes
-                                      for k in (ell - 1, ell - 1, ell + 1))).factors)
-    for ell, e in f.factors:
+    counts: dict[int, int] = {}
+    for ell, e in factorize(N).factors:
+        # (l-1)(l^2-1) = (l-1)^2 (l+1), factored piecewise: l^2 - 1 may pass the width cap
+        for k, times in ((ell - 1, 2), (ell + 1, 1)):
+            for q, j in factorize(k).factors:
+                counts[q] = counts.get(q, 0) + j * times
         counts[ell] = counts.get(ell, 0) + 4 * e - 3
     bound = 1
     for p, e in counts.items():
@@ -241,8 +242,10 @@ def _zero_free_table(p: int, params: RecurrenceParams) -> bytearray:
     B commutes with scalars, so every orbit through 0 is c times the orbit
     of (0, 1) and lies on the lines r = b/a through that orbit's first alpha
     points (alpha the rank of apparition); each such line is marked as a
-    whole row, and the column a = 0 (the zero pair) as well.  Q must be a
-    unit mod p, or the orbit of (0, 1) may never return to 0.
+    whole row, and the column a = 0 (the zero pair) as well.  A row is thus
+    open or marked as a whole apart from its cell a = 0, so `star_summary`
+    reads the open lines from the column a = 1 and walks the open cells.  Q
+    must be a unit mod p, or the orbit of (0, 1) may never return to 0.
     """
     P, Q = params.P % p, params.Q % p
     row = b"\x01" * p
@@ -260,16 +263,25 @@ def star_summary(
     p: int, params: RecurrenceParams = FIBONACCI
 ) -> tuple[set[int], set[int]]:
     """Periods of the zero-free orbits mod the prime p, and the m whose
-    order-m subgroup of F_p^x is one of their value sets, from one walk of
-    the open cells of `_zero_free_table`.
+    order-m subgroup of F_p^x is one of their value sets, from one pass over
+    the open lines of `_zero_free_table` and one walk of its open cells.
 
     B takes (a, a*r) to (a*r, a*(P - Q/r)): the scalar a is multiplied by r,
-    and the line r steps to nxt[r] = P - Q/r.  A walk that meets a marked
-    cell before its start has left the zero-free lines (r = 0 steps to the
-    marked column a = 0), so it raises instead of looping.
+    and the line r steps to nxt[r] = P - Q/r.  The line pass walks each open
+    line orbit r_0, ..., r_{k-1} once.  After k steps the scalar has been
+    multiplied by mu = r_0 * ... * r_{k-1}, so every pair on those lines has
+    period k*d with d = ord(mu), and the pair orbit of (c, c*r_0) has value
+    set c*S, where S = <mu> * V_k and V_k = {1, r_0, r_0*r_1, ...} holds the
+    first coordinates of its first k steps.  <mu> is the kernel of v -> v^d,
+    so |S| = d * |{v^d : v in V_k}|, and some c*S is the order-m subgroup
+    iff m = |S|, m | p-1 and v^m takes one value on V_k (x^m - 1 has at most
+    m roots).  A line walk that meets a marked line has left the zero-free
+    lines, and raises.
 
-    A value set V of m residues is that subgroup iff m | p-1 and v^m = 1 for
-    every v in V: x^m - 1 has at most m roots, so V is all of them.
+    The pair walk then checks those periods against direct iteration: from
+    each open cell it takes exactly its line's k*d steps, storing no
+    values, and raises unless it closes on its start and every step of the
+    pass met an open cell (the steps equal the open cells in number).
     """
     _check_modulus(p)
     _check_cap(p)
@@ -278,31 +290,68 @@ def star_summary(
     _require_invertible(params, p)
     visited = _zero_free_table(p, params)
     P, negQ = params.P % p, (-params.Q) % p
-    nxt = [0] + [(P + negQ * pow(r, -1, p)) % p for r in range(1, p)]
+    # inv[r] = -(p // r) * inv[p % r], from p = (p // r) * r + p % r
+    inv = [0, 1] + [0] * (p - 2)
+    for r in range(2, p):
+        inv[r] = -(p // r) * inv[p % r] % p
+    # the line r = 0 is always marked, so nxt[0] is never taken
+    nxt = [(P + negQ * i) % p for i in inv]
+    group = factorize(p - 1)
     periods: set[int] = set()
     subgroup_ms: set[int] = set()
+    walks: list[tuple[int, list[tuple[int, int]]] | None] = [None] * p
+    marked_lines = bytearray(visited[1::p])
+    r0 = marked_lines.find(0)
+    while r0 >= 0:
+        orbit = []
+        values = []
+        mu, r = 1, r0
+        while True:
+            marked_lines[r] = 1
+            orbit.append(r)
+            values.append(mu)
+            mu = mu * r % p
+            r = nxt[r]
+            if r == r0:
+                break
+            if marked_lines[r]:
+                raise InternalInvariantViolation(
+                    f"walk from line {r0} mod {p} leaves the zero-free lines")
+        d = least_dividing(group, lambda t: pow(mu, t, p) == 1)
+        # r0 is the least line of its orbit, and every pair orbit on these
+        # lines meets it, so the pair walk starts on r0 only
+        walks[r0] = d, [(r, nxt[r] * p) for r in orbit]
+        periods.add(len(orbit) * d)
+        m = d * len({pow(v, d, p) for v in values})
+        if (p - 1) % m == 0 and len({pow(v, m, p) for v in values}) == 1:
+            subgroup_ms.add(m)
+        r0 = marked_lines.find(0, r0 + 1)
+    open_cells = visited.count(0)
+    walked = 0
     start = visited.find(0)
     while start >= 0:
         r, a = divmod(start, p)
+        walk = walks[r]
+        if walk is None:
+            raise InternalInvariantViolation(
+                f"open cell {start} mod {p} is off the least line of a zero-free line orbit")
+        d, steps = walk
+        period = d * len(steps)
         idx = start
-        values = []
-        append = values.append
-        while not visited[idx]:
-            visited[idx] = 1
-            append(a)
-            a = a * r % p
-            r = nxt[r]
-            idx = r * p + a
+        for _ in range(d):
+            for r, row in steps:
+                visited[idx] = 1
+                a = a * r % p
+                idx = row + a
         if idx != start:
             raise InternalInvariantViolation(
                 f"walk from line {start // p}, scalar {start % p} mod {p} "
-                f"leaves the zero-free lines")
-        periods.add(len(values))
-        distinct = set(values)
-        m = len(distinct)
-        if (p - 1) % m == 0 and all(pow(v, m, p) == 1 for v in distinct):
-            subgroup_ms.add(m)
+                f"does not close after {period} steps")
+        walked += period
         start = visited.find(0, start + 1)
+    if walked != open_cells:
+        raise InternalInvariantViolation(
+            f"the pair walk mod {p} takes {walked} steps over {open_cells} open cells")
     return periods, subgroup_ms
 
 

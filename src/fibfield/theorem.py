@@ -24,7 +24,6 @@ which the CLI writes as is.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .config import theorem_cap
@@ -57,14 +56,34 @@ SPECIAL_PRIMES = (2, 5)
 INAPPLICABLE = "inapplicable"
 
 
+def degeneracy(p: int, params: RecurrenceParams, sweep: bool = True) -> str | None:
+    """Why the odd prime p is degenerate for these params, or None.
+
+    The one rule behind the verify skip and every DegenerateDiscriminant:
+    p | D gives a repeated eigenvalue and p | Q a singular companion
+    matrix, so `eigen_data` (sweep=False) refuses both; a sweep also leaves
+    out p | P.  For Fibonacci params only p = 5 is degenerate.
+    """
+    D = params.discriminant
+    if D % p == 0:
+        return f"p = {p} divides discriminant {D}"
+    if params.Q % p == 0:
+        return f"p = {p} divides Q = {params.Q}"
+    if sweep and params.P % p == 0:
+        return f"p = {p} divides P = {params.P}"
+    return None
+
+
 def _check_prime(p: int, params: RecurrenceParams) -> None:
     if p == 2 or not is_prime(p):
         raise BadPrime(f"p = {p} is not an odd prime")
-    D = params.discriminant
-    if D % p == 0:
-        raise DegenerateDiscriminant(f"p = {p} divides discriminant {D}")
-    if params.Q % p == 0:
-        raise DegenerateDiscriminant(f"p = {p} divides Q = {params.Q}")
+    _check_degeneracy(p, params, sweep=False)
+
+
+def _check_degeneracy(p: int, params: RecurrenceParams, sweep: bool) -> None:
+    reason = degeneracy(p, params, sweep)
+    if reason is not None:
+        raise DegenerateDiscriminant(reason)
 
 
 def _check_cap(p: int) -> None:
@@ -142,8 +161,7 @@ def verify_main(p: int, params: RecurrenceParams = FIBONACCI) -> dict:
     """
     if params.is_fibonacci and p in SPECIAL_PRIMES:
         raise SpecialPrime(f"p = {p} is a special prime; enumerate_star lists its orbits")
-    if math.gcd(params.P * params.Q, p) != 1:
-        raise DegenerateDiscriminant(f"gcd(PQ, {p}) != 1")
+    _check_degeneracy(p, params, sweep=True)
     ed = eigen_data(p, params)
     _check_cap(p)
     periods, subgroup_ms = star_summary(p, params)

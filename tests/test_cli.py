@@ -259,6 +259,8 @@ class TestVerify:
         ("1,-2", "5cc2c48278b43929a8f7883111030dd7b65cecda8a67a8bd715662a280e1cbb2",
          "warning: 7 report-only discrepancies (not theorem violations)\n"),
         ("3,1", "5e1ae20a390673cd316e9d5866a2eada4449646281b34bf4f280f7d3bed3d2fb", ""),
+        ("2,3", "c20d3d3040190d25444c6f5b3ad3e51ff2d43b197d27ea4a08bc707559fa2042",
+         "warning: 21 report-only discrepancies (not theorem violations)\n"),
     ])
     def test_lucas_golden(self, params, digest, err):
         # stdout digest, stderr and exit code of verify 3 300 --lucas P,Q --json

@@ -115,6 +115,43 @@ class TestMatOrder:
                 assert mat_order(params, N) == naive_mat_order(params, N)
 
 
+def trial_factors(n):
+    """{prime: exponent} of n by trial division."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+class TestGl2ExponentBound:
+    def test_composed_per_prime_power(self):
+        for N in range(1, 2001):
+            expected = 1
+            for ell, e in trial_factors(N).items():
+                expected *= ell ** (4 * e - 3) * (ell - 1) ** 2 * (ell + 1)
+            assert fibseq._gl2_exponent_bound(N).n == expected, N
+
+    def test_each_factor_once(self, monkeypatch):
+        # N, then l - 1 and l + 1 once for each prime l | N
+        calls = []
+        real = fibseq.factorize
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(fibseq, "factorize", counting)
+        N = 2**3 * 3 * 5**2 * 7 * 13
+        fibseq._gl2_exponent_bound(N)
+        assert calls == [N, 1, 3, 2, 4, 4, 6, 6, 8, 12, 14]
+
+
 class TestGenerate:
     def test_period_1342(self):
         seq = SequenceId(5, 1, 3, FIBONACCI)
@@ -297,9 +334,11 @@ class TestStarSummary:
         assert [p for p in primes_upto(400)[1:]
                 if star_summary(p) != naive_star_summary(p)] == []
 
-    @pytest.mark.parametrize("P,Q", [(3, 1), (1, -2), (2, -1), (4, 3)])
+    @pytest.mark.parametrize("P,Q", [(3, 1), (1, -2), (2, -1), (4, 3), (0, 1), (2, 1)])
     def test_full_scan_oracle_lucas(self, P, Q):
-        # includes the primes dividing P or the discriminant
+        # includes the primes dividing P or the discriminant; with P = 0 the
+        # orbit of infinity is {infinity, 0}, and with D = 0 the line r = 1 is
+        # fixed and its pairs have period 1
         assert [p for p in primes_upto(200)[1:] if Q % p != 0
                 and star_summary(p, RecurrenceParams(P, Q)) != naive_star_summary(p, P, Q)] == []
 
@@ -332,6 +371,14 @@ class TestStarSummary:
         monkeypatch.setattr(fibseq, "_zero_free_table", leaky_table)
         with pytest.raises(InternalInvariantViolation):
             star_summary(7)
+
+    def test_wrong_line_order_raises(self, monkeypatch):
+        # a line pass that doubles each ord(mu) sends the pair walk twice
+        # round every orbit, and it raises rather than report wrong periods
+        real = fibseq.least_dividing
+        monkeypatch.setattr(fibseq, "least_dividing", lambda f, holds: 2 * real(f, holds))
+        with pytest.raises(InternalInvariantViolation):
+            star_summary(13)
 
     def test_singular_rejected(self):
         # Q = 0 mod 7: the sequence 0, 1, 1, 1, ... never returns to 0, so this raises, not loops

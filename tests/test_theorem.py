@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,7 @@ from fibfield.quadext import QuadContext, ext_order
 from fibfield.theorem import (
     check_eigen_invariants,
     cond_order,
+    degeneracy,
     eigen_data,
     splitting_type,
     verify_complementary,
@@ -298,3 +300,35 @@ class TestVerifyLucas:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateDiscriminant):
             verify_main(7, RecurrenceParams(7, 1))
+
+
+class TestDegeneracy:
+    GRID = [RecurrenceParams(P, Q) for P in range(-6, 7) for Q in range(-6, 7) if Q]
+
+    def test_sweep_rule_is_gcd_with_2PQD(self):
+        # the verify skip: p = 2 or a degenerate odd prime, exactly gcd(p, 2*P*Q*D) != 1
+        for params in self.GRID:
+            for p in primes_upto(40):
+                product = 2 * params.P * params.Q * params.discriminant
+                assert (p == 2 or degeneracy(p, params) is not None) == (
+                    math.gcd(p, product) != 1), (params, p)
+
+    def test_fibonacci_only_five(self):
+        assert [p for p in primes_upto(200)[1:] if degeneracy(p, FIBONACCI)] == [5]
+
+    def test_raises_follow_the_rule(self):
+        # verify_main refuses p | P as well; eigen_data only p | Q and p | D
+        for params in self.GRID:
+            for p in (3, 7):
+                reason = degeneracy(p, params)
+                if reason is None:
+                    continue
+                with pytest.raises(DegenerateDiscriminant, match=reason):
+                    verify_main(p, params)
+                eigen_reason = degeneracy(p, params, sweep=False)
+                if eigen_reason is None:
+                    assert params.P % p == 0
+                    assert eigen_data(p, params).p == p
+                else:
+                    with pytest.raises(DegenerateDiscriminant, match=eigen_reason):
+                        eigen_data(p, params)
