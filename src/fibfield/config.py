@@ -1,16 +1,16 @@
 """Enumeration caps and reproducibility constants.
 
-Every pair walk allocates N^2 bytes and takes O(N^2) steps: `enumerate`
-walks all N^2 pairs.  A sweep holds, per prime p, the pair (a, a*r) at row r
-of a p^2-byte table, marks the rows of the lines r = b/a met by the orbit of
-(0, 1) and the column a = 0, and leaves open the pairs of the zero-free
-orbits (1.48 M of the 3.58 M nonzero pairs in `verify 3 400`).  A pass over
-the open lines, O(p) steps, gives each zero-free orbit's period and decides
-the value-set condition; a counting walk then steps through every open
-pair, storing no values, to check those periods against direct iteration.
-So DEFAULT_THEOREM_CAP bounds both the primes a sweep may reach and the
-modulus of `enumerate`.  The environment variable FIBFIELD_CAP
-may lower the sweep cap, never raise it; it leaves the enumeration cap alone.
+Every pair walk takes O(N^2) steps.  `enumerate` walks all N^2 pairs and
+allocates N^2 bytes to mark them.  A sweep needs O(p) memory per prime: it
+marks in p bytes the lines r = b/a met by the orbit of (0, 1), and one pass
+over the lines left open, O(p) steps, gives each zero-free orbit's period
+and decides the value-set condition.  A counting walk then steps through
+the pairs of each open line orbit from its least line, storing no values,
+to check those periods against direct iteration (1.48 M of the 3.58 M
+nonzero pairs in `verify 3 400`).  So DEFAULT_THEOREM_CAP bounds both the
+primes a sweep may reach and the modulus of `enumerate`.  The environment
+variable FIBFIELD_CAP may lower the sweep cap, never raise it; it leaves
+the enumeration cap alone.
 """
 
 from __future__ import annotations

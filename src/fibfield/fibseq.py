@@ -193,7 +193,7 @@ def _check_modulus(N: int) -> None:
 
 
 def _check_cap(N: int) -> None:
-    # the walk allocates N^2 bytes and takes O(N^2) steps
+    # both walks take O(N^2) steps; `_orbits` allocates N^2 bytes, star_summary O(N)
     if N > DEFAULT_THEOREM_CAP:
         raise CapExceeded(f"N = {N} exceeds the enumeration cap {DEFAULT_THEOREM_CAP}")
 
@@ -235,28 +235,27 @@ def _orbits(N: int, params: RecurrenceParams):
         yield start, values
 
 
-def _zero_free_table(p: int, params: RecurrenceParams) -> bytearray:
-    """A p*p table holding the pair (a, a*r) at index r * p + a, for the
-    prime p, with exactly the cells off the zero-free orbits marked.
+def _zero_lines(p: int, params: RecurrenceParams, inv: list[int]) -> bytearray:
+    """The lines r = b/a of P^1(F_p) met by the orbits through 0, for the
+    prime p, as p bytes with those lines marked; `inv` holds the inverses
+    mod p.
 
     B commutes with scalars, so every orbit through 0 is c times the orbit
-    of (0, 1) and lies on the lines r = b/a through that orbit's first alpha
-    points (alpha the rank of apparition); each such line is marked as a
-    whole row, and the column a = 0 (the zero pair) as well.  A row is thus
-    open or marked as a whole apart from its cell a = 0, so `star_summary`
-    reads the open lines from the column a = 1 and walks the open cells.  Q
-    must be a unit mod p, or the orbit of (0, 1) may never return to 0.
+    of (0, 1) and lies on the lines through that orbit's points: the line 0
+    and the line b/a of each point (a, b) with a != 0 (the line at infinity,
+    a = 0, is not indexed).  The stretch from (0, 1) to its next zero meets
+    them all, since the orbit goes on as a scalar multiple of it.  Every
+    other line lies wholly on zero-free orbits.  Q must be a unit mod p, or
+    the orbit of (0, 1) may never return to 0.
     """
     P, Q = params.P % p, params.Q % p
-    row = b"\x01" * p
-    table = bytearray(p * p)
-    table[0::p] = row
+    marked = bytearray(p)
+    marked[0] = 1
     a, b = 1, P
     while a:
-        r = b * pow(a, -1, p) % p
-        table[r * p:r * p + p] = row
+        marked[b * inv[a] % p] = 1
         a, b = b, (P * b - Q * a) % p
-    return table
+    return marked
 
 
 def star_summary(
@@ -264,31 +263,33 @@ def star_summary(
 ) -> tuple[set[int], set[int]]:
     """Periods of the zero-free orbits mod the prime p, and the m whose
     order-m subgroup of F_p^x is one of their value sets, from one pass over
-    the open lines of `_zero_free_table` and one walk of its open cells.
+    the lines left open by `_zero_lines`, each line orbit checked by a walk
+    of its pairs; memory is O(p) and the steps O(p^2).
 
     B takes (a, a*r) to (a*r, a*(P - Q/r)): the scalar a is multiplied by r,
     and the line r steps to nxt[r] = P - Q/r.  The line pass walks each open
-    line orbit r_0, ..., r_{k-1} once.  After k steps the scalar has been
-    multiplied by mu = r_0 * ... * r_{k-1}, so every pair on those lines has
-    period k*d with d = ord(mu), and the pair orbit of (c, c*r_0) has value
-    set c*S, where S = <mu> * V_k and V_k = {1, r_0, r_0*r_1, ...} holds the
-    first coordinates of its first k steps.  <mu> is the kernel of v -> v^d,
-    so |S| = d * |{v^d : v in V_k}|, and some c*S is the order-m subgroup
-    iff m = |S|, m | p-1 and v^m takes one value on V_k (x^m - 1 has at most
-    m roots).  A line walk that meets a marked line has left the zero-free
-    lines, and raises.
+    line orbit r_0, ..., r_{k-1} once, and raises if it meets a marked line,
+    so it never leaves the zero-free lines, and on them no scalar reaches 0.
+    After k steps the scalar has been multiplied by mu = r_0 * ... * r_{k-1},
+    so every pair on those lines has period k*d with d = ord(mu), and the
+    pair orbit of (c, c*r_0) has value set c*S, where S = <mu> * V_k and
+    V_k = {1, r_0, r_0*r_1, ...} holds the first coordinates of its first k
+    steps.  <mu> is the kernel of v -> v^d, so |S| = d * |{v^d : v in V_k}|,
+    and some c*S is the order-m subgroup iff m = |S|, m | p-1 and v^m takes
+    one value on V_k (x^m - 1 has at most m roots).
 
-    The pair walk then checks those periods against direct iteration: from
-    each open cell it takes exactly its line's k*d steps, storing no
-    values, and raises unless it closes on its start and every step of the
-    pass met an open cell (the steps equal the open cells in number).
+    The pair walk then checks each d against direct iteration.  Every pair
+    orbit on a line orbit meets its least line r_0, so it walks from r_0
+    only: from each scalar a not yet seen on that line it takes d rounds of
+    k steps, storing no values, and raises if a round starts on a scalar
+    already seen (d too large) or if the walk does not close on a (d too
+    small).  The steps walked must equal (open lines) * (p-1).
     """
     _check_modulus(p)
     _check_cap(p)
     if not is_prime(p):
         raise BadPrime(f"p = {p} is not prime")
     _require_invertible(params, p)
-    visited = _zero_free_table(p, params)
     P, negQ = params.P % p, (-params.Q) % p
     # inv[r] = -(p // r) * inv[p % r], from p = (p // r) * r + p % r
     inv = [0, 1] + [0] * (p - 2)
@@ -299,8 +300,9 @@ def star_summary(
     group = factorize(p - 1)
     periods: set[int] = set()
     subgroup_ms: set[int] = set()
-    walks: list[tuple[int, list[tuple[int, int]]] | None] = [None] * p
-    marked_lines = bytearray(visited[1::p])
+    marked_lines = _zero_lines(p, params, inv)
+    open_lines = marked_lines.count(0)
+    walked = 0
     r0 = marked_lines.find(0)
     while r0 >= 0:
         orbit = []
@@ -318,40 +320,34 @@ def star_summary(
                 raise InternalInvariantViolation(
                     f"walk from line {r0} mod {p} leaves the zero-free lines")
         d = least_dividing(group, lambda t: pow(mu, t, p) == 1)
-        # r0 is the least line of its orbit, and every pair orbit on these
-        # lines meets it, so the pair walk starts on r0 only
-        walks[r0] = d, [(r, nxt[r] * p) for r in orbit]
-        periods.add(len(orbit) * d)
+        period = len(orbit) * d
+        periods.add(period)
         m = d * len({pow(v, d, p) for v in values})
         if (p - 1) % m == 0 and len({pow(v, m, p) for v in values}) == 1:
             subgroup_ms.add(m)
+        seen = bytearray(p)
+        seen[0] = 1
+        start = 1
+        while start >= 0:
+            a = start
+            for _ in range(d):
+                if seen[a]:
+                    raise InternalInvariantViolation(
+                        f"walk from line {r0}, scalar {start} mod {p} "
+                        f"returns before {period} steps")
+                seen[a] = 1
+                for r in orbit:
+                    a = a * r % p
+            if a != start:
+                raise InternalInvariantViolation(
+                    f"walk from line {r0}, scalar {start} mod {p} "
+                    f"does not close after {period} steps")
+            walked += period
+            start = seen.find(0, start + 1)
         r0 = marked_lines.find(0, r0 + 1)
-    open_cells = visited.count(0)
-    walked = 0
-    start = visited.find(0)
-    while start >= 0:
-        r, a = divmod(start, p)
-        walk = walks[r]
-        if walk is None:
-            raise InternalInvariantViolation(
-                f"open cell {start} mod {p} is off the least line of a zero-free line orbit")
-        d, steps = walk
-        period = d * len(steps)
-        idx = start
-        for _ in range(d):
-            for r, row in steps:
-                visited[idx] = 1
-                a = a * r % p
-                idx = row + a
-        if idx != start:
-            raise InternalInvariantViolation(
-                f"walk from line {start // p}, scalar {start % p} mod {p} "
-                f"does not close after {period} steps")
-        walked += period
-        start = visited.find(0, start + 1)
-    if walked != open_cells:
+    if walked != open_lines * (p - 1):
         raise InternalInvariantViolation(
-            f"the pair walk mod {p} takes {walked} steps over {open_cells} open cells")
+            f"the pair walk mod {p} takes {walked} steps over {open_lines} open lines")
     return periods, subgroup_ms
 
 

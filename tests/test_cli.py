@@ -268,6 +268,18 @@ class TestVerify:
         assert (r.returncode, r.stderr) == (0, err)
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("extra, digest, err", [
+        ([], "212eb92a109ad71bf99a07c29fa9d7b493fd70c5dbce3352c6fec51891f32ede", ""),
+        (["--complementary"], "e1bd60f5ab6f97ec1377d9d9b5c18e40cecf9e02b8605eeb25f213dd8733d46b",
+         "warning: 1 report-only discrepancies (not theorem violations)\n"),
+    ])
+    def test_golden_near_1000(self, extra, digest, err):
+        # stdout digest, stderr and exit code of verify 1000 1100 --json: 16 records
+        r = run_cli("verify", "1000", "1100", "--json", *extra)
+        assert (r.returncode, r.stderr) == (0, err)
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+        assert len(records(r.stdout)) == 16
+
     def test_human_complementary(self):
         r = run_cli("verify", "3", "30", "--complementary")
         assert (r.returncode, r.stderr) == (

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,7 +30,7 @@ from fibfield.fibseq import (
     mat_pow,
     minimal_period,
     period_report,
-    _zero_free_table,
+    _zero_lines,
     star_summary,
     value_set,
 )
@@ -344,31 +345,29 @@ class TestStarSummary:
 
     @pytest.mark.parametrize("P,Q", [(1, -1), (3, 1), (1, -2), (0, 1), (2, 1)])
     def test_starts_are_the_zero_free_pairs(self, P, Q):
-        # the cells the table leaves open, mapped back from index r * p + a to
-        # the pair (a, a*r), are exactly the pairs of the zero-free orbits
+        # the lines left open are exactly the lines b/a of the zero-free pairs
         for p in (3, 5, 7, 11, 13, 17, 19):
             if Q % p == 0:
                 continue
-            table = _zero_free_table(p, RecurrenceParams(P, Q))
-            open_pairs = [(idx % p, idx % p * (idx // p) % p)
-                          for idx in range(p * p) if not table[idx]]
-            zero_free_pairs = {
-                (terms[i], terms[(i + 1) % len(terms)])
+            inv = [0] + [pow(a, -1, p) for a in range(1, p)]
+            marked = _zero_lines(p, RecurrenceParams(P, Q), inv)
+            assert len(marked) == p
+            zero_free_lines = {
+                terms[(i + 1) % len(terms)] * inv[terms[i]] % p
                 for terms in naive_orbits(p, P, Q) if 0 not in terms
                 for i in range(len(terms))
             }
-            assert len(open_pairs) == len(set(open_pairs))
-            assert set(open_pairs) == zero_free_pairs
+            assert {r for r in range(p) if not marked[r]} == zero_free_lines
 
     def test_orbit_through_zero_raises(self, monkeypatch):
-        # a table with one row of the orbit of (0, 1) left open: the walk from
-        # that row meets a marked cell, and raises rather than loops
-        def leaky_table(p, params):
-            table = _zero_free_table(p, params)
-            table[1 * p + 1:2 * p] = bytes(p - 1)  # the line r = 1 = P, through (1, 1)
-            return table
+        # the line r = 1 = P, through (1, 1) on the orbit of (0, 1), left open:
+        # the line pass from it meets a marked line, and raises rather than loops
+        def leaky_lines(p, params, inv):
+            marked = _zero_lines(p, params, inv)
+            marked[1] = 0
+            return marked
 
-        monkeypatch.setattr(fibseq, "_zero_free_table", leaky_table)
+        monkeypatch.setattr(fibseq, "_zero_lines", leaky_lines)
         with pytest.raises(InternalInvariantViolation):
             star_summary(7)
 
@@ -379,6 +378,30 @@ class TestStarSummary:
         monkeypatch.setattr(fibseq, "least_dividing", lambda f, holds: 2 * real(f, holds))
         with pytest.raises(InternalInvariantViolation):
             star_summary(13)
+
+    def test_wrong_line_order_too_small_raises(self, monkeypatch):
+        # a line pass that halves an even ord(mu) stops the pair walk halfway
+        # round: mod 13 the zero-free line orbit has d = 4, so the walk does
+        # not close on its start, and raises
+        real = fibseq.least_dividing
+
+        def halved(f, holds):
+            d = real(f, holds)
+            return d // 2 if d % 2 == 0 else d
+
+        monkeypatch.setattr(fibseq, "least_dividing", halved)
+        with pytest.raises(InternalInvariantViolation, match="does not close"):
+            star_summary(13)
+
+    def test_no_quadratic_buffer(self):
+        # p = 2017 has one zero-free period, 4036; a p^2-byte table would be 4 MB
+        tracemalloc.start()
+        try:
+            assert star_summary(2017)[0] == {4036}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_singular_rejected(self):
         # Q = 0 mod 7: the sequence 0, 1, 1, 1, ... never returns to 0, so this raises, not loops
