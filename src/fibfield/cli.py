@@ -13,13 +13,14 @@ computed, in ascending p, so an interrupted sweep keeps its finished primes.
 
 Exit codes: 0 success or findings-only, 1 a proven-theorem violation was
 detected, 2 usage or validation error, or an --out FILE that cannot be
-opened.
+opened, 141 (128 + SIGPIPE) stdout closed by its reader, as by `| head`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import ExitStack
 from functools import partial
@@ -352,7 +353,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that has gone away is met here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # as the signal module's docs advise: the interpreter flushes stdout
+        # again at exit, so point it at devnull to keep that flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FibfieldError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,16 +1,15 @@
 """Enumeration caps and reproducibility constants.
 
-Every pair walk takes O(N^2) steps.  `enumerate` walks all N^2 pairs and
-allocates N^2 bytes to mark them.  A sweep needs O(p) memory per prime: it
-marks in p bytes the lines r = b/a met by the orbit of (0, 1), and one pass
-over the lines left open, O(p) steps, gives each zero-free orbit's period
-and decides the value-set condition.  A counting walk then steps through
-the pairs of each open line orbit from its least line, storing no values,
-to check those periods against direct iteration (1.48 M of the 3.58 M
-nonzero pairs in `verify 3 400`).  So DEFAULT_THEOREM_CAP bounds both the
-primes a sweep may reach and the modulus of `enumerate`.  The environment
-variable FIBFIELD_CAP may lower the sweep cap, never raise it; it leaves
-the enumeration cap alone.
+`enumerate` walks all N^2 pairs, O(N^2) steps, and allocates N^2 bytes to
+mark them.  A sweep needs O(p) steps, modular powers and bytes per prime:
+it marks in p bytes the lines r = b/a met by the orbit of (0, 1), and one
+pass over the lines left open gives each zero-free orbit's period and
+decides the value-set condition, each period checked by direct iteration
+of its line orbit's multiplier and then against the eigenvalue census.  So
+DEFAULT_THEOREM_CAP bounds both the primes a sweep may reach and the modulus
+of `enumerate`; every record carries the cap, so it stays at 4096 although
+a sweep no longer needs it.  The environment variable FIBFIELD_CAP may lower
+the sweep cap, never raise it; it leaves the enumeration cap alone.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import functools
 import os
 import sys
 
-# Ceiling for theorem-level O(p^2) sweeps and for any enumerated modulus.
+# Ceiling for theorem-level sweeps and for any enumerated modulus (O(N^2) pairs).
 DEFAULT_THEOREM_CAP = 4096
 
 # All public inputs must fit in signed 62-bit so products stay exact.

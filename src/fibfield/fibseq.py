@@ -193,7 +193,7 @@ def _check_modulus(N: int) -> None:
 
 
 def _check_cap(N: int) -> None:
-    # both walks take O(N^2) steps; `_orbits` allocates N^2 bytes, star_summary O(N)
+    # `_orbits` walks all N^2 pairs in N^2 bytes; star_summary takes O(N) steps and bytes
     if N > DEFAULT_THEOREM_CAP:
         raise CapExceeded(f"N = {N} exceeds the enumeration cap {DEFAULT_THEOREM_CAP}")
 
@@ -263,8 +263,8 @@ def star_summary(
 ) -> tuple[set[int], set[int]]:
     """Periods of the zero-free orbits mod the prime p, and the m whose
     order-m subgroup of F_p^x is one of their value sets, from one pass over
-    the lines left open by `_zero_lines`, each line orbit checked by a walk
-    of its pairs; memory is O(p) and the steps O(p^2).
+    the lines left open by `_zero_lines`; memory is O(p), and so are the
+    steps and the modular powers taken.
 
     B takes (a, a*r) to (a*r, a*(P - Q/r)): the scalar a is multiplied by r,
     and the line r steps to nxt[r] = P - Q/r.  The line pass walks each open
@@ -278,12 +278,12 @@ def star_summary(
     and some c*S is the order-m subgroup iff m = |S|, m | p-1 and v^m takes
     one value on V_k (x^m - 1 has at most m roots).
 
-    The pair walk then checks each d against direct iteration.  Every pair
-    orbit on a line orbit meets its least line r_0, so it walks from r_0
-    only: from each scalar a not yet seen on that line it takes d rounds of
-    k steps, storing no values, and raises if a round starts on a scalar
-    already seen (d too large) or if the walk does not close on a (d too
-    small).  The steps walked must equal (open lines) * (p-1).
+    B commutes with scalars, so the walk from (c, c*r_0) is c times the walk
+    from (1, r_0), and d is checked against direct iteration on that one
+    walk: its scalar mu^t must first be 1 at t = d, or this raises (d too
+    large: the walk returns before k*d steps; d too small: it does not close
+    after them).  The check is done once per multiplier, since every line
+    orbit off the eigenlines has the same mu.
     """
     _check_modulus(p)
     _check_cap(p)
@@ -300,17 +300,14 @@ def star_summary(
     group = factorize(p - 1)
     periods: set[int] = set()
     subgroup_ms: set[int] = set()
+    orders: dict[int, int] = {}
     marked_lines = _zero_lines(p, params, inv)
-    open_lines = marked_lines.count(0)
-    walked = 0
     r0 = marked_lines.find(0)
     while r0 >= 0:
-        orbit = []
         values = []
         mu, r = 1, r0
         while True:
             marked_lines[r] = 1
-            orbit.append(r)
             values.append(mu)
             mu = mu * r % p
             r = nxt[r]
@@ -319,36 +316,31 @@ def star_summary(
             if marked_lines[r]:
                 raise InternalInvariantViolation(
                     f"walk from line {r0} mod {p} leaves the zero-free lines")
-        d = least_dividing(group, lambda t: pow(mu, t, p) == 1)
-        period = len(orbit) * d
-        periods.add(period)
+        d = orders.get(mu)
+        if d is None:
+            d = orders[mu] = least_dividing(group, lambda t: pow(mu, t, p) == 1)
+            _check_multiplier_order(mu, d, p, r0, len(values))
+        periods.add(len(values) * d)
         m = d * len({pow(v, d, p) for v in values})
         if (p - 1) % m == 0 and len({pow(v, m, p) for v in values}) == 1:
             subgroup_ms.add(m)
-        seen = bytearray(p)
-        seen[0] = 1
-        start = 1
-        while start >= 0:
-            a = start
-            for _ in range(d):
-                if seen[a]:
-                    raise InternalInvariantViolation(
-                        f"walk from line {r0}, scalar {start} mod {p} "
-                        f"returns before {period} steps")
-                seen[a] = 1
-                for r in orbit:
-                    a = a * r % p
-            if a != start:
-                raise InternalInvariantViolation(
-                    f"walk from line {r0}, scalar {start} mod {p} "
-                    f"does not close after {period} steps")
-            walked += period
-            start = seen.find(0, start + 1)
         r0 = marked_lines.find(0, r0 + 1)
-    if walked != open_lines * (p - 1):
-        raise InternalInvariantViolation(
-            f"the pair walk mod {p} takes {walked} steps over {open_lines} open lines")
     return periods, subgroup_ms
+
+
+def _check_multiplier_order(mu: int, d: int, p: int, r0: int, k: int) -> None:
+    """Raise unless mu^t first equals 1 mod p at t = d, by direct iteration:
+    the walk from (1, r_0) along a line orbit of length k, with multiplier
+    mu, must close first after k*d steps."""
+    a = mu
+    for _ in range(d - 1):
+        if a == 1:
+            raise InternalInvariantViolation(
+                f"walk from line {r0} mod {p} returns before {k * d} steps")
+        a = a * mu % p
+    if a != 1:
+        raise InternalInvariantViolation(
+            f"walk from line {r0} mod {p} does not close after {k * d} steps")
 
 
 def enumerate_star(

@@ -19,11 +19,15 @@ with no zero-free sequence at all where the order condition is still
 satisfiable, so nothing here is asserted as a theorem.
 
 Both sweeps return the payload dict of one JSONL record, keyed by str(m),
-which the CLI writes as is.
+which the CLI writes as is.  Both also compare the periods that
+star_summary walks with the ones `census` predicts from the eigenvalues,
+and raise InternalInvariantViolation when they differ; the census never
+enters a record.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .config import theorem_cap
@@ -44,12 +48,13 @@ from .modarith import (
     divisors,
     factorize,
     is_prime,
+    least_dividing,
     legendre,
     mod_inv,
     multiplicative_order,
     sqrt_mod,
 )
-from .quadext import QuadContext, QuadElement, conjugate, ext_order, q_mul
+from .quadext import QuadContext, QuadElement, conjugate, ext_order, q_mul, q_pow
 
 SPECIAL_PRIMES = (2, 5)
 
@@ -147,6 +152,40 @@ def eigen_data(p: int, params: RecurrenceParams = FIBONACCI) -> EigenData:
     return EigenData(p, params, kind, phi, phi_prime, ext_order(phi), ext_order(phi_prime))
 
 
+def census(ed: EigenData) -> set[int]:
+    """The periods of the zero-free orbits, predicted from the eigenvalues.
+
+    B acts on the p+1 lines of P^1(F_p) with order e in PGL2, the least e
+    with phi^e = phi'^e.  A line off the eigenlines is fixed by B^j only
+    when B^j is a scalar, so its orbit has length e, and B^e = phi^e * I
+    gives its pairs the period e * ord(phi^e) = lcm(l, l').  The line at
+    infinity is no eigenline, and its orbit is the one through 0.  So a
+    split p has the periods l and l' of its eigenlines, plus lcm(l, l') when
+    the p-1 other lines form two orbits or more; an inert p, with no
+    eigenline in F_p, has the period l when its p+1 lines form two orbits or
+    more, and none otherwise.
+    """
+    p = ed.p
+    if ed.splitting == "split":
+        e = multiplicative_order(ed.phi * mod_inv(ed.phi_prime, p), p, p - 1)
+        periods = {ed.l, ed.l_prime}
+        if (p - 1) // e >= 2:
+            periods.add(math.lcm(ed.l, ed.l_prime))
+        return periods
+    e = least_dividing(factorize(p + 1),
+                       lambda t: q_pow(ed.phi, t) == q_pow(ed.phi_prime, t))
+    return {ed.l} if (p + 1) // e >= 2 else set()
+
+
+def _check_census(ed: EigenData, periods: set[int]) -> None:
+    """Raise unless the walked periods are the ones the eigenvalues predict."""
+    predicted = census(ed)
+    if periods != predicted:
+        raise InternalInvariantViolation(
+            f"zero-free periods {sorted(periods)} mod {ed.p} differ from the "
+            f"eigenvalue census {sorted(predicted)}")
+
+
 def cond_order(ed: EigenData, m: int) -> bool:
     """Split prime and some eigenvalue has order exactly m in F_p^x."""
     return ed.splitting == "split" and (ed.l == m or ed.l_prime == m)
@@ -165,6 +204,7 @@ def verify_main(p: int, params: RecurrenceParams = FIBONACCI) -> dict:
     ed = eigen_data(p, params)
     _check_cap(p)
     periods, subgroup_ms = star_summary(p, params)
+    _check_census(ed, periods)
     conditions = {
         str(m): {
             "powerset": m in subgroup_ms,
@@ -198,6 +238,7 @@ def verify_complementary(p: int) -> dict:
     ed = eigen_data(p, params)
     _check_cap(p)
     periods, subgroup_ms = star_summary(p, params)
+    _check_census(ed, periods)
     inert = ed.splitting == "inert"
     size = 2 * (p + 1)
     entries: dict[str, dict] = {}

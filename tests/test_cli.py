@@ -280,6 +280,34 @@ class TestVerify:
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
         assert len(records(r.stdout)) == 16
 
+    @pytest.mark.parametrize("extra, digest, code, err, inconsistent", [
+        ([], "4a2528fcb8bce9690d77a3e2d601b9b147901b71626438e1ed1a8f0477949c10", 1,
+         "FAILURE: 2 main-theorem inconsistencies\n", [13, 17]),
+        (["--complementary"], "3be28a17a88f412d08a710e5f7374f2ad49f9d6575664acde002de78817c5d0c",
+         0, "warning: 111 report-only discrepancies (not theorem violations)\n", []),
+    ])
+    def test_golden_full_cap(self, extra, digest, code, err, inconsistent):
+        # verify 3 4096 --json, the whole default cap: 563 records, and the
+        # main sweep is inconsistent at p = 13 and 17 and nowhere else
+        r = run_cli("verify", "3", "4096", "--json", *extra)
+        assert (r.returncode, r.stderr) == (code, err)
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+        recs = records(r.stdout)
+        assert len(recs) == 563
+        assert [rec["payload"]["p"] for rec in recs
+                if not rec["payload"].get("consistent", True)] == inconsistent
+
+    def test_broken_pipe(self):
+        # a reader that stops after one line, as `| head -1` does: exit
+        # 128 + SIGPIPE, and nothing on stderr; the 506 KB of output cannot
+        # all fit in the pipe before it closes
+        proc = subprocess.Popen(PKG + ["verify", "3", "4096", "--json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert json.loads(proc.stdout.readline())["payload"]["p"] == 3
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, "")
+
     def test_human_complementary(self):
         r = run_cli("verify", "3", "30", "--complementary")
         assert (r.returncode, r.stderr) == (

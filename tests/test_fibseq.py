@@ -372,17 +372,18 @@ class TestStarSummary:
             star_summary(7)
 
     def test_wrong_line_order_raises(self, monkeypatch):
-        # a line pass that doubles each ord(mu) sends the pair walk twice
-        # round every orbit, and it raises rather than report wrong periods
+        # a line pass that doubles each ord(mu) is caught by direct iteration:
+        # the multiplier walk from (1, r_0) returns to 1 halfway, and it
+        # raises rather than report wrong periods
         real = fibseq.least_dividing
         monkeypatch.setattr(fibseq, "least_dividing", lambda f, holds: 2 * real(f, holds))
         with pytest.raises(InternalInvariantViolation):
             star_summary(13)
 
     def test_wrong_line_order_too_small_raises(self, monkeypatch):
-        # a line pass that halves an even ord(mu) stops the pair walk halfway
-        # round: mod 13 the zero-free line orbit has d = 4, so the walk does
-        # not close on its start, and raises
+        # a line pass that halves an even ord(mu) stops the multiplier walk
+        # halfway round: mod 13 the zero-free line orbit has d = 4, so mu^2
+        # is not 1, the walk does not close on its start, and this raises
         real = fibseq.least_dividing
 
         def halved(f, holds):

@@ -4,11 +4,20 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fibfield.errors import BadPrime, DegenerateDiscriminant, SpecialPrime
+from fibfield import theorem
+from fibfield.errors import (
+    BadPrime,
+    DegenerateDiscriminant,
+    InternalInvariantViolation,
+    SpecialPrime,
+)
 from fibfield.fibseq import FIBONACCI, RecurrenceParams, mat_order, mat_pow, companion_matrix, Mat2
 from fibfield.quadext import QuadContext, ext_order
 from fibfield.theorem import (
+    census,
     check_eigen_invariants,
     cond_order,
     degeneracy,
@@ -23,6 +32,7 @@ from conftest import (
     naive_fib_eigen_orders,
     naive_orbits,
     naive_period,
+    naive_star_summary,
     primes_upto,
 )
 
@@ -225,6 +235,34 @@ class TestVerifyComplementary:
             else:
                 expected = frozenset(x.c0 for x in sub) in value_sets
             assert entry["powerset"] == expected, m
+
+
+class TestCensus:
+    @pytest.mark.parametrize("p, periods", [(13, {28}), (17, {36})])
+    def test_known_finding(self, p, periods):
+        # the 2(p+1) of TestKnownFindingByHand, from the eigenvalues alone
+        assert census(eigen_data(p)) == periods
+
+    @given(st.sampled_from([p for p in primes_upto(60) if p > 2]),
+           st.integers(-60, 60), st.integers(-60, 60))
+    @settings(max_examples=120, deadline=None)
+    def test_naive_oracle_property(self, p, P, Q):
+        params = RecurrenceParams(P, Q)
+        assume(degeneracy(p, params, sweep=False) is None)
+        assert census(eigen_data(p, params)) == naive_star_summary(p, P, Q)[0]
+
+    @pytest.mark.parametrize("sweep", [verify_main, verify_complementary])
+    def test_extra_period_raises(self, monkeypatch, sweep):
+        # a walk that reports one period too many disagrees with the census
+        real = theorem.star_summary
+
+        def one_more(p, params):
+            periods, subgroup_ms = real(p, params)
+            return periods | {1}, subgroup_ms
+
+        monkeypatch.setattr(theorem, "star_summary", one_more)
+        with pytest.raises(InternalInvariantViolation, match="census"):
+            sweep(13)
 
 
 class TestKnownFindingByHand:
