@@ -2,10 +2,10 @@
 
 `enumerate` walks all N^2 pairs, O(N^2) steps, and allocates N^2 bytes to
 mark them.  A sweep needs O(p) steps, modular powers and bytes per prime:
-it marks in p bytes the lines r = b/a met by the orbit of (0, 1), and one
-pass over the lines left open gives each zero-free orbit's period and
-decides the value-set condition, each period checked by direct iteration
-of its line orbit's multiplier and then against the eigenvalue census.  So
+one walk over the orbits of the lines r = b/a, skipping the orbit of the
+line 0, gives each zero-free orbit's period and decides the value-set
+condition, each period checked by direct iteration of its line orbit's
+multiplier and then against the eigenvalue census.  So
 DEFAULT_THEOREM_CAP bounds both the primes a sweep may reach and the modulus
 of `enumerate`; every record carries the cap, so it stays at 4096 although
 a sweep no longer needs it.  The environment variable FIBFIELD_CAP may lower

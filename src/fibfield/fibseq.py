@@ -235,44 +235,34 @@ def _orbits(N: int, params: RecurrenceParams):
         yield start, values
 
 
-def _zero_lines(p: int, params: RecurrenceParams, inv: list[int]) -> bytearray:
-    """The lines r = b/a of P^1(F_p) met by the orbits through 0, for the
-    prime p, as p bytes with those lines marked; `inv` holds the inverses
-    mod p.
-
-    B commutes with scalars, so every orbit through 0 is c times the orbit
-    of (0, 1) and lies on the lines through that orbit's points: the line 0
-    and the line b/a of each point (a, b) with a != 0 (the line at infinity,
-    a = 0, is not indexed).  The stretch from (0, 1) to its next zero meets
-    them all, since the orbit goes on as a scalar multiple of it.  Every
-    other line lies wholly on zero-free orbits.  Q must be a unit mod p, or
-    the orbit of (0, 1) may never return to 0.
-    """
-    P, Q = params.P % p, params.Q % p
-    marked = bytearray(p)
-    marked[0] = 1
-    a, b = 1, P
-    while a:
-        marked[b * inv[a] % p] = 1
-        a, b = b, (P * b - Q * a) % p
-    return marked
+def _line_map(p: int, params: RecurrenceParams) -> list[int]:
+    """nxt[r] = P - Q/r mod the prime p: where B takes the line r = b/a of
+    P^1(F_p).  nxt[0] = P stands for the step 0 -> infinity -> P, so nxt
+    is a permutation of F_p when Q is a unit mod p."""
+    P, negQ = params.P % p, (-params.Q) % p
+    # inv[r] = -(p // r) * inv[p % r], from p = (p // r) * r + p % r; inv[0] = 0
+    inv = [0, 1] + [0] * (p - 2)
+    for r in range(2, p):
+        inv[r] = -(p // r) * inv[p % r] % p
+    return [(P + negQ * i) % p for i in inv]
 
 
 def star_summary(
     p: int, params: RecurrenceParams = FIBONACCI
 ) -> tuple[set[int], set[int]]:
     """Periods of the zero-free orbits mod the prime p, and the m whose
-    order-m subgroup of F_p^x is one of their value sets, from one pass over
-    the lines left open by `_zero_lines`; memory is O(p), and so are the
-    steps and the modular powers taken.
+    order-m subgroup of F_p^x is one of their value sets, from one walk over
+    the line orbits of F_p under `_line_map`, starting at the line 0; memory
+    is O(p), and so are the steps and the modular powers taken.
 
     B takes (a, a*r) to (a*r, a*(P - Q/r)): the scalar a is multiplied by r,
-    and the line r steps to nxt[r] = P - Q/r.  The line pass walks each open
-    line orbit r_0, ..., r_{k-1} once, and raises if it meets a marked line,
-    so it never leaves the zero-free lines, and on them no scalar reaches 0.
-    After k steps the scalar has been multiplied by mu = r_0 * ... * r_{k-1},
-    so every pair on those lines has period k*d with d = ord(mu), and the
-    pair orbit of (c, c*r_0) has value set c*S, where S = <mu> * V_k and
+    and the line r steps to nxt[r] = P - Q/r.  The walk takes each line
+    orbit r_0, ..., r_{k-1} once, and raises if it meets a line already
+    walked (nxt is no permutation).  After k steps the scalar has been
+    multiplied by mu = r_0 * ... * r_{k-1}, which is 0 only on the orbit of
+    the line 0, the lines of the pair orbits through 0: it is skipped.  Every
+    pair on the other lines has period k*d with d = ord(mu), and the pair
+    orbit of (c, c*r_0) has value set c*S, where S = <mu> * V_k and
     V_k = {1, r_0, r_0*r_1, ...} holds the first coordinates of its first k
     steps.  <mu> is the kernel of v -> v^d, so |S| = d * |{v^d : v in V_k}|,
     and some c*S is the order-m subgroup iff m = |S|, m | p-1 and v^m takes
@@ -290,41 +280,36 @@ def star_summary(
     if not is_prime(p):
         raise BadPrime(f"p = {p} is not prime")
     _require_invertible(params, p)
-    P, negQ = params.P % p, (-params.Q) % p
-    # inv[r] = -(p // r) * inv[p % r], from p = (p // r) * r + p % r
-    inv = [0, 1] + [0] * (p - 2)
-    for r in range(2, p):
-        inv[r] = -(p // r) * inv[p % r] % p
-    # the line r = 0 is always marked, so nxt[0] is never taken
-    nxt = [(P + negQ * i) % p for i in inv]
+    nxt = _line_map(p, params)
     group = factorize(p - 1)
     periods: set[int] = set()
     subgroup_ms: set[int] = set()
     orders: dict[int, int] = {}
-    marked_lines = _zero_lines(p, params, inv)
-    r0 = marked_lines.find(0)
+    walked = bytearray(p)
+    r0 = 0
     while r0 >= 0:
         values = []
         mu, r = 1, r0
         while True:
-            marked_lines[r] = 1
+            walked[r] = 1
             values.append(mu)
             mu = mu * r % p
             r = nxt[r]
             if r == r0:
                 break
-            if marked_lines[r]:
+            if walked[r]:
                 raise InternalInvariantViolation(
-                    f"walk from line {r0} mod {p} leaves the zero-free lines")
-        d = orders.get(mu)
-        if d is None:
-            d = orders[mu] = least_dividing(group, lambda t: pow(mu, t, p) == 1)
-            _check_multiplier_order(mu, d, p, r0, len(values))
-        periods.add(len(values) * d)
-        m = d * len({pow(v, d, p) for v in values})
-        if (p - 1) % m == 0 and len({pow(v, m, p) for v in values}) == 1:
-            subgroup_ms.add(m)
-        r0 = marked_lines.find(0, r0 + 1)
+                    f"walk from line {r0} mod {p} meets a line already walked")
+        if mu:
+            d = orders.get(mu)
+            if d is None:
+                d = orders[mu] = least_dividing(group, lambda t: pow(mu, t, p) == 1)
+                _check_multiplier_order(mu, d, p, r0, len(values))
+            periods.add(len(values) * d)
+            m = d * len({pow(v, d, p) for v in values})
+            if (p - 1) % m == 0 and len({pow(v, m, p) for v in values}) == 1:
+                subgroup_ms.add(m)
+        r0 = walked.find(0, r0 + 1)
     return periods, subgroup_ms
 
 

@@ -48,13 +48,12 @@ from .modarith import (
     divisors,
     factorize,
     is_prime,
-    least_dividing,
     legendre,
     mod_inv,
     multiplicative_order,
     sqrt_mod,
 )
-from .quadext import QuadContext, QuadElement, conjugate, ext_order, q_mul, q_pow
+from .quadext import QuadContext, QuadElement, conjugate, ext_order, q_mul
 
 SPECIAL_PRIMES = (2, 5)
 
@@ -163,7 +162,8 @@ def census(ed: EigenData) -> set[int]:
     split p has the periods l and l' of its eigenlines, plus lcm(l, l') when
     the p-1 other lines form two orbits or more; an inert p, with no
     eigenline in F_p, has the period l when its p+1 lines form two orbits or
-    more, and none otherwise.
+    more, and none otherwise.  Inert, phi' = phi^p by Frobenius, so
+    phi^e = phi'^e iff l | e(p-1), and e = l / gcd(l, p-1).
     """
     p = ed.p
     if ed.splitting == "split":
@@ -172,8 +172,7 @@ def census(ed: EigenData) -> set[int]:
         if (p - 1) // e >= 2:
             periods.add(math.lcm(ed.l, ed.l_prime))
         return periods
-    e = least_dividing(factorize(p + 1),
-                       lambda t: q_pow(ed.phi, t) == q_pow(ed.phi_prime, t))
+    e = ed.l // math.gcd(ed.l, p - 1)
     return {ed.l} if (p + 1) // e >= 2 else set()
 
 
@@ -223,7 +222,7 @@ def verify_main(p: int, params: RecurrenceParams = FIBONACCI) -> dict:
 
 
 def verify_complementary(p: int) -> dict:
-    """Record, per m | 2(p+1), the period condition (brute force), the
+    """Record, per m | 2(p+1), the period condition (star_summary), the
     inert-order condition, and the literal value-set reading of the norm
     subgroup statement, as the record payload.  Never asserts the
     equivalence.

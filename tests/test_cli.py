@@ -285,17 +285,20 @@ class TestVerify:
          "FAILURE: 2 main-theorem inconsistencies\n", [13, 17]),
         (["--complementary"], "3be28a17a88f412d08a710e5f7374f2ad49f9d6575664acde002de78817c5d0c",
          0, "warning: 111 report-only discrepancies (not theorem violations)\n", []),
+        (["--lucas", "2,3"], "0ba403926f678cee62e9b78c77dd3bf8f1c81e7320c3b064531a806033b5f8ee",
+         0, "warning: 193 report-only discrepancies (not theorem violations)\n", 193),
     ])
     def test_golden_full_cap(self, extra, digest, code, err, inconsistent):
-        # verify 3 4096 --json, the whole default cap: 563 records, and the
-        # main sweep is inconsistent at p = 13 and 17 and nowhere else
+        # verify 3 4096 --json, the whole default cap: 563 records; the main
+        # sweep is inconsistent at p = 13 and 17 and nowhere else, and the
+        # Lucas sweep (P, Q) = (2, 3) reports 193 inconsistent primes
         r = run_cli("verify", "3", "4096", "--json", *extra)
         assert (r.returncode, r.stderr) == (code, err)
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
         recs = records(r.stdout)
         assert len(recs) == 563
-        assert [rec["payload"]["p"] for rec in recs
-                if not rec["payload"].get("consistent", True)] == inconsistent
+        bad = [rec["payload"]["p"] for rec in recs if not rec["payload"].get("consistent", True)]
+        assert (len(bad) if isinstance(inconsistent, int) else bad) == inconsistent
 
     def test_broken_pipe(self):
         # a reader that stops after one line, as `| head -1` does: exit

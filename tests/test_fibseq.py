@@ -30,7 +30,7 @@ from fibfield.fibseq import (
     mat_pow,
     minimal_period,
     period_report,
-    _zero_lines,
+    _line_map,
     star_summary,
     value_set,
 )
@@ -345,31 +345,46 @@ class TestStarSummary:
 
     @pytest.mark.parametrize("P,Q", [(1, -1), (3, 1), (1, -2), (0, 1), (2, 1)])
     def test_starts_are_the_zero_free_pairs(self, P, Q):
-        # the lines left open are exactly the lines b/a of the zero-free pairs
+        # the line map permutes F_p, nxt[0] = P stands for 0 -> infinity -> P,
+        # and the lines off the orbit of 0 are exactly the lines b/a of the
+        # zero-free pairs
         for p in (3, 5, 7, 11, 13, 17, 19):
             if Q % p == 0:
                 continue
+            nxt = _line_map(p, RecurrenceParams(P, Q))
+            assert sorted(nxt) == list(range(p))
+            assert nxt[0] == P % p
+            zero_orbit, r = {0}, nxt[0]
+            while r:
+                zero_orbit.add(r)
+                r = nxt[r]
             inv = [0] + [pow(a, -1, p) for a in range(1, p)]
-            marked = _zero_lines(p, RecurrenceParams(P, Q), inv)
-            assert len(marked) == p
             zero_free_lines = {
                 terms[(i + 1) % len(terms)] * inv[terms[i]] % p
                 for terms in naive_orbits(p, P, Q) if 0 not in terms
                 for i in range(len(terms))
             }
-            assert {r for r in range(p) if not marked[r]} == zero_free_lines
+            assert set(range(p)) - zero_orbit == zero_free_lines
 
     def test_orbit_through_zero_raises(self, monkeypatch):
-        # the line r = 1 = P, through (1, 1) on the orbit of (0, 1), left open:
-        # the line pass from it meets a marked line, and raises rather than loops
-        def leaky_lines(p, params, inv):
-            marked = _zero_lines(p, params, inv)
-            marked[1] = 0
-            return marked
+        # mod 13 the orbit of 0 is 0, 1, 2, 8, 6, 12 and the zero-free lines
+        # form one orbit from 3; a map sending 3 onto the line 1 is no
+        # permutation, and the walk from 3 meets a line already walked and
+        # raises rather than loops (the guard fails the test if it loops)
+        class Guarded(list):
+            lookups = 0
 
-        monkeypatch.setattr(fibseq, "_zero_lines", leaky_lines)
-        with pytest.raises(InternalInvariantViolation):
-            star_summary(7)
+            def __getitem__(self, r):
+                self.lookups += 1
+                if self.lookups > len(self):
+                    raise RuntimeError("the line walk loops")
+                return super().__getitem__(r)
+
+        leaky = Guarded(_line_map(13, FIBONACCI))
+        leaky[3] = 1
+        monkeypatch.setattr(fibseq, "_line_map", lambda p, params: leaky)
+        with pytest.raises(InternalInvariantViolation, match="already walked"):
+            star_summary(13)
 
     def test_wrong_line_order_raises(self, monkeypatch):
         # a line pass that doubles each ord(mu) is caught by direct iteration:
