@@ -31,7 +31,8 @@ class ModulusMismatch(FibfieldError):
 
 
 class SplitContext(FibfieldError):
-    """Field-only operation requested in a split (non-field) quadratic ring."""
+    """x^2 - Px + Q has a root mod p, so F_p[x]/(x^2 - Px + Q) is not a
+    field; QuadContext refuses it when it is built."""
 
 
 class ZeroElement(FibfieldError):

@@ -150,19 +150,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(original, tuple(sorted(counts.items())))
 
 
-def factorize_product(*ns: int) -> Factorization:
-    """Complete factorization of the product of ns >= 1, each factored alone,
-    so the product may pass the width cap that every n must meet: p^2 - 1
-    is factored as (p-1)(p+1)."""
-    n = 1
-    counts: dict[int, int] = {}
-    for m in ns:
-        n *= m
-        for p, e in factorize(m).factors:
-            counts[p] = counts.get(p, 0) + e
-    return Factorization(n, tuple(sorted(counts.items())))
-
-
 def divisors(f: Factorization) -> list[int]:
     """All divisors of f.n in increasing order."""
     divs = [1]

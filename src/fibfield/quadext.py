@@ -1,12 +1,11 @@
-"""Arithmetic in the quadratic extension ring F_p[x]/(x^2 - Px + Q).
+"""Arithmetic in the field F_p[x]/(x^2 - Px + Q), isomorphic to F_{p^2}.
 
 Elements are written c0 + c1*lam in the basis {1, lam} of the companion
-polynomial, so in the inert case the root lam itself is always the element
-(0, 1) and no root-finding in F_{p^2} is needed.  The context is inert (a
-field isomorphic to F_{p^2}) exactly when the discriminant D = P^2 - 4Q is a
-non-residue mod p; split contexts still support ring operations, conjugation
-and the norm form, but refuse field-only operations (orders, norm subgroups)
-with SplitContext.
+polynomial, so the root lam itself is always the element (0, 1) and no
+root-finding in F_{p^2} is needed.  The ring is a field exactly when the
+discriminant D = P^2 - 4Q is a non-residue mod p (the inert case); a
+context is refused with SplitContext when it is built otherwise, so every
+QuadContext is F_{p^2}.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .errors import (
     SplitContext,
     ZeroElement,
 )
-from .modarith import factorize_product, is_prime, least_dividing, legendre
+from .modarith import factorize, is_prime, least_dividing, legendre, multiplicative_order
 
 
 class _QuadContextFields(NamedTuple):
@@ -29,22 +28,20 @@ class _QuadContextFields(NamedTuple):
 
 
 class QuadContext(_QuadContextFields):
-    """The ring F_p[x]/(x^2 - Px + Q): lam has trace P and norm Q."""
+    """The field F_p[x]/(x^2 - Px + Q): lam has trace P and norm Q.
+
+    Raises ValueError unless p is an odd prime, and SplitContext unless
+    P^2 - 4Q is a non-residue mod p.
+    """
 
     __slots__ = ()
 
     def __new__(cls, p: int, P: int, Q: int):
         if p < 3 or not is_prime(p):
             raise ValueError(f"p = {p} must be an odd prime")
+        if legendre(P * P - 4 * Q, p) != -1:
+            raise SplitContext(f"x^2 - {P % p}x + {Q % p} splits mod {p}; not a field")
         return super().__new__(cls, p, P % p, Q % p)
-
-    @property
-    def discriminant(self) -> int:
-        return (self.P * self.P - 4 * self.Q) % self.p
-
-    @property
-    def is_inert(self) -> bool:
-        return legendre(self.discriminant, self.p) == -1
 
     def element(self, c0: int, c1: int = 0) -> "QuadElement":
         return QuadElement(c0 % self.p, c1 % self.p, self)
@@ -54,12 +51,6 @@ class QuadContext(_QuadContextFields):
 
     def lam(self) -> "QuadElement":
         return self.element(0, 1)
-
-    def require_inert(self) -> None:
-        if not self.is_inert:
-            raise SplitContext(
-                f"x^2 - {self.P}x + {self.Q} splits mod {self.p}; not a field"
-            )
 
 
 class QuadElement(NamedTuple):
@@ -106,7 +97,7 @@ def q_pow(x: QuadElement, e: int) -> QuadElement:
 def conjugate(x: QuadElement) -> QuadElement:
     """The other root of the minimal polynomial: lam -> P - lam.
 
-    In inert contexts this is the Frobenius x -> x^p (tested property).
+    This is the Frobenius x -> x^p (tested property).
     """
     p = x.ctx.p
     return QuadElement((x.c0 + x.c1 * x.ctx.P) % p, (-x.c1) % p, x.ctx)
@@ -127,10 +118,18 @@ def norm(x: QuadElement) -> int:
 
 
 def ext_order(x: QuadElement) -> int:
-    """Multiplicative order of x in F_{p^2}^x (inert contexts only)."""
-    x.ctx.require_inert()
+    """Multiplicative order l of x in F_{p^2}^x, read off its norm.
+
+    x^p is the conjugate of x, so x^{p+1} = norm(x) lies in F_p^x, and
+    n = ord(norm(x)) = l / gcd(l, p+1).  Then l = n*g with g = gcd(l, p+1),
+    and since n | l, y = x^n has order l / n = g, a divisor of p+1.  So
+    l = n * ord(y), where ord(y) is found by stripping the primes of p+1
+    alone; least_dividing raises BadGroupOrder unless y^{p+1} = 1.
+    """
     if x.is_zero():
         raise ZeroElement("order of 0 is undefined")
+    p = x.ctx.p
     one = x.ctx.one()
-    return least_dividing(factorize_product(x.ctx.p - 1, x.ctx.p + 1),
-                          lambda t: q_pow(x, t) == one)
+    n = multiplicative_order(norm(x), p, p - 1)
+    y = q_pow(x, n)
+    return n * least_dividing(factorize(p + 1), lambda t: q_pow(y, t) == one)

@@ -78,10 +78,10 @@ def degeneracy(p: int, params: RecurrenceParams, sweep: bool = True) -> str | No
     return None
 
 
-def _check_prime(p: int, params: RecurrenceParams) -> None:
+def _check_prime(p: int, params: RecurrenceParams, sweep: bool = False) -> None:
     if p == 2 or not is_prime(p):
         raise BadPrime(f"p = {p} is not an odd prime")
-    _check_degeneracy(p, params, sweep=False)
+    _check_degeneracy(p, params, sweep)
 
 
 def _check_degeneracy(p: int, params: RecurrenceParams, sweep: bool) -> None:
@@ -185,6 +185,21 @@ def _check_census(ed: EigenData, periods: set[int]) -> None:
             f"eigenvalue census {sorted(predicted)}")
 
 
+def _sweep_prime(p: int, params: RecurrenceParams) -> tuple[EigenData, set[int], set[int]]:
+    """The checks and facts both sweeps start from: the eigenvalue data,
+    and the zero-free periods and value-set subgroup orders of star_summary,
+    checked against the census.  Raises SpecialPrime for Fibonacci p = 2, 5,
+    then BadPrime, DegenerateDiscriminant (p | P as well) and CapExceeded."""
+    if params.is_fibonacci and p in SPECIAL_PRIMES:
+        raise SpecialPrime(f"p = {p} is a special prime; enumerate_star lists its orbits")
+    _check_prime(p, params, sweep=True)
+    ed = eigen_data(p, params)
+    _check_cap(p)
+    periods, subgroup_ms = star_summary(p, params)
+    _check_census(ed, periods)
+    return ed, periods, subgroup_ms
+
+
 def cond_order(ed: EigenData, m: int) -> bool:
     """Split prime and some eigenvalue has order exactly m in F_p^x."""
     return ed.splitting == "split" and (ed.l == m or ed.l_prime == m)
@@ -197,13 +212,7 @@ def verify_main(p: int, params: RecurrenceParams = FIBONACCI) -> dict:
     For non-Fibonacci params the equivalence is an empirical finding, not an
     asserted theorem: theorem_proven is False.
     """
-    if params.is_fibonacci and p in SPECIAL_PRIMES:
-        raise SpecialPrime(f"p = {p} is a special prime; enumerate_star lists its orbits")
-    _check_degeneracy(p, params, sweep=True)
-    ed = eigen_data(p, params)
-    _check_cap(p)
-    periods, subgroup_ms = star_summary(p, params)
-    _check_census(ed, periods)
+    ed, periods, subgroup_ms = _sweep_prime(p, params)
     conditions = {
         str(m): {
             "powerset": m in subgroup_ms,
@@ -231,13 +240,7 @@ def verify_complementary(p: int) -> dict:
     m | p-1, and is then the order-m subgroup of F_p^x; the value-set
     reading is tested only there and is "inapplicable" otherwise.
     """
-    if p in SPECIAL_PRIMES:
-        raise SpecialPrime(f"p = {p} is a special prime; enumerate_star lists its orbits")
-    params = FIBONACCI
-    ed = eigen_data(p, params)
-    _check_cap(p)
-    periods, subgroup_ms = star_summary(p, params)
-    _check_census(ed, periods)
+    ed, periods, subgroup_ms = _sweep_prime(p, FIBONACCI)
     inert = ed.splitting == "inert"
     size = 2 * (p + 1)
     entries: dict[str, dict] = {}

@@ -11,7 +11,6 @@ from fibfield.modarith import (
     Factorization,
     divisors,
     factorize,
-    factorize_product,
     is_prime,
     least_dividing,
     legendre,
@@ -96,15 +95,12 @@ class TestFactorize:
             n = rng.getrandbits(60) | 1
             if n > 1:
                 factorize(n)
-
-    def test_product(self):
-        assert factorize_product() == factorize(1)
-        assert factorize_product(12, 10, 7) == factorize(840)
+        # past the 2^62 width cap factorize refuses; p^2 - 1 is factored as
+        # its parts p - 1 and p + 1 instead
         p = 3000000019
-        f = factorize_product(p - 1, p + 1)
-        assert f.n == p * p - 1 >= 1 << 62
+        assert p * p - 1 >= 1 << 62
         with pytest.raises(ValueError):
-            factorize(f.n)
+            factorize(p * p - 1)
 
     def test_invalid_factorization_rejected(self):
         with pytest.raises(ValueError):

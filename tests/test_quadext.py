@@ -57,7 +57,7 @@ class TestRingOps:
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
-            q_mul(QuadContext(7, 1, -1).lam(), QuadContext(11, 1, -1).lam())
+            q_mul(QuadContext(7, 1, -1).lam(), QuadContext(13, 1, -1).lam())
 
     def test_pow_matches_repeated_mul(self):
         ctx = QuadContext(13, 1, -1)
@@ -78,7 +78,6 @@ class TestConjugate:
     def test_lambda(self):
         assert conjugate(QuadContext(7, 1, -1).lam()) == QuadContext(7, 1, -1).element(1, 6)
         ctx = QuadContext(11, 1, 1)  # D = -3, inert mod 11
-        assert ctx.is_inert
         assert conjugate(ctx.lam()) == ctx.element(1, 10)
 
     @given(st.sampled_from([3, 7, 13, 17]), st.integers(0, 16), st.integers(0, 16))
@@ -141,10 +140,8 @@ class TestExtOrder:
             ext_order(QuadContext(7, 1, -1).element(0, 0))
 
     def test_split_context_refused(self):
-        ctx = QuadContext(11, 1, -1)  # 11 = 1 mod 5: split
-        assert not ctx.is_inert
         with pytest.raises(SplitContext):
-            ext_order(ctx.lam())
+            QuadContext(11, 1, -1)  # 11 = 1 mod 5: split
 
     def test_divides_group_order_and_naive(self):
         for p in [q for q in FIB_INERT if q <= 47]:
@@ -160,14 +157,28 @@ class TestExtOrder:
                 assert (p * p - 1) % t == 0
                 assert t == naive_ext_order(x)
 
+    @pytest.mark.parametrize("P, Q", [(3, 5), (1, 2), (2, 3), (3, 1), (0, 1), (4, -3), (5, 7)])
+    def test_lucas_contexts_match_naive(self, P, Q):
+        # N(lam) = Q, so the norm's order n takes values other than 1 and 2 here
+        for p in primes_upto(30)[1:]:
+            if legendre(P * P - 4 * Q, p) != -1:
+                continue
+            for x in all_elements(QuadContext(p, P, Q)):
+                if not x.is_zero():
+                    assert ext_order(x) == naive_ext_order(x), (p, x)
+
 
 class TestContext:
     def test_inertness_matches_legendre(self):
+        # built iff D = 5 is a non-residue; p = 5, where D = 0, is refused too
         for p in primes_upto(100):
             if p <= 2:
                 continue
-            ctx = QuadContext(p, 1, -1)
-            assert ctx.is_inert == (legendre(5, p) == -1)
+            if legendre(5, p) == -1:
+                assert QuadContext(p, 1, -1).p == p
+            else:
+                with pytest.raises(SplitContext):
+                    QuadContext(p, 1, -1)
 
     def test_rejects_bad_prime(self):
         with pytest.raises(ValueError):

@@ -151,6 +151,17 @@ class TestVerifyMain:
         with pytest.raises(SpecialPrime):
             verify_main(2)
 
+    def test_non_prime_refused(self):
+        # both sweeps check primality before the degeneracy rule, which would
+        # read p = 1 as a divisor of D and divide by p = 0
+        for p in (0, 1, 9):
+            with pytest.raises(BadPrime):
+                verify_main(p)
+            with pytest.raises(BadPrime):
+                verify_complementary(p)
+            with pytest.raises(BadPrime):
+                verify_main(p, RecurrenceParams(2, 3))
+
     def test_sweep_to_300(self):
         # Uniform triples everywhere except the two known value-set
         # counterexamples at m = p-1 (independently brute-forced and hand
