@@ -4,8 +4,8 @@
 mark them.  A sweep needs O(p) steps, modular powers and bytes per prime:
 one walk over the orbits of the lines r = b/a, skipping the orbit of the
 line 0, gives each zero-free orbit's period and decides the value-set
-condition, each period checked by direct iteration of its line orbit's
-multiplier and then against the eigenvalue census.  So
+condition, each period read by direct iteration of its line orbit's
+multiplier and checked against the eigenvalue census.  So
 DEFAULT_THEOREM_CAP bounds both the primes a sweep may reach and the modulus
 of `enumerate`; every record carries the cap, so it stays at 4096 although
 a sweep no longer needs it.  The environment variable FIBFIELD_CAP may lower

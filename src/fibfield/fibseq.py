@@ -269,11 +269,10 @@ def star_summary(
     one value on V_k (x^m - 1 has at most m roots).
 
     B commutes with scalars, so the walk from (c, c*r_0) is c times the walk
-    from (1, r_0), and d is checked against direct iteration on that one
-    walk: its scalar mu^t must first be 1 at t = d, or this raises (d too
-    large: the walk returns before k*d steps; d too small: it does not close
-    after them).  The check is done once per multiplier, since every line
-    orbit off the eigenlines has the same mu.
+    from (1, r_0), and d is read by iterating mu on that one walk: the least
+    d with mu^d = 1, once per multiplier, since every line orbit off the
+    eigenlines has the same mu.  The check on d is theorem.census: both
+    sweeps compare these periods with the ones the eigenvalues predict.
     """
     _check_modulus(p)
     _check_cap(p)
@@ -281,7 +280,6 @@ def star_summary(
         raise BadPrime(f"p = {p} is not prime")
     _require_invertible(params, p)
     nxt = _line_map(p, params)
-    group = factorize(p - 1)
     periods: set[int] = set()
     subgroup_ms: set[int] = set()
     orders: dict[int, int] = {}
@@ -303,8 +301,7 @@ def star_summary(
         if mu:
             d = orders.get(mu)
             if d is None:
-                d = orders[mu] = least_dividing(group, lambda t: pow(mu, t, p) == 1)
-                _check_multiplier_order(mu, d, p, r0, len(values))
+                d = orders[mu] = _multiplier_order(mu, p)
             periods.add(len(values) * d)
             m = d * len({pow(v, d, p) for v in values})
             if (p - 1) % m == 0 and len({pow(v, m, p) for v in values}) == 1:
@@ -313,19 +310,15 @@ def star_summary(
     return periods, subgroup_ms
 
 
-def _check_multiplier_order(mu: int, d: int, p: int, r0: int, k: int) -> None:
-    """Raise unless mu^t first equals 1 mod p at t = d, by direct iteration:
-    the walk from (1, r_0) along a line orbit of length k, with multiplier
-    mu, must close first after k*d steps."""
+def _multiplier_order(mu: int, p: int) -> int:
+    """ord(mu) mod the prime p by direct iteration: the least d >= 1 with
+    mu^d = 1.  Every unit mod p has one below p; raises if mu has none."""
     a = mu
-    for _ in range(d - 1):
+    for d in range(1, p):
         if a == 1:
-            raise InternalInvariantViolation(
-                f"walk from line {r0} mod {p} returns before {k * d} steps")
+            return d
         a = a * mu % p
-    if a != 1:
-        raise InternalInvariantViolation(
-            f"walk from line {r0} mod {p} does not close after {k * d} steps")
+    raise InternalInvariantViolation(f"multiplier {mu} mod {p} has no order below {p}")
 
 
 def enumerate_star(

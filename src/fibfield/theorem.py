@@ -81,10 +81,6 @@ def degeneracy(p: int, params: RecurrenceParams, sweep: bool = True) -> str | No
 def _check_prime(p: int, params: RecurrenceParams, sweep: bool = False) -> None:
     if p == 2 or not is_prime(p):
         raise BadPrime(f"p = {p} is not an odd prime")
-    _check_degeneracy(p, params, sweep)
-
-
-def _check_degeneracy(p: int, params: RecurrenceParams, sweep: bool) -> None:
     reason = degeneracy(p, params, sweep)
     if reason is not None:
         raise DegenerateDiscriminant(reason)
@@ -145,10 +141,10 @@ def eigen_data(p: int, params: RecurrenceParams = FIBONACCI) -> EigenData:
         l = multiplicative_order(phi, p, p - 1)
         l_prime = multiplicative_order(phi_prime, p, p - 1)
         return EigenData(p, params, kind, phi, phi_prime, l, l_prime)
-    ctx = QuadContext(p, params.P, params.Q)
-    phi = ctx.lam()
-    phi_prime = conjugate(phi)
-    return EigenData(p, params, kind, phi, phi_prime, ext_order(phi), ext_order(phi_prime))
+    phi = QuadContext(p, params.P, params.Q).lam()
+    # phi' = phi^p by Frobenius, and gcd(p, p^2 - 1) = 1, so l' = l
+    l = ext_order(phi)
+    return EigenData(p, params, kind, phi, conjugate(phi), l, l)
 
 
 def census(ed: EigenData) -> set[int]:
@@ -247,7 +243,7 @@ def verify_complementary(p: int) -> dict:
     notes: list[str] = []
     for m in divisors(factorize(size)):
         period_ok = m in periods
-        order_ok = inert and (ed.l == m or ed.l_prime == m)
+        order_ok = inert and ed.l == m
         powerset: bool | str = INAPPLICABLE
         if inert and (p - 1) % m == 0:
             powerset = m in subgroup_ms
@@ -267,7 +263,8 @@ def verify_complementary(p: int) -> dict:
 def check_eigen_invariants(p: int, params: RecurrenceParams = FIBONACCI) -> EigenData:
     """Run the proof-ingredient self-checks for one prime and return the data.
 
-    Checks: trace/norm relations of the eigenvalue pair, the mutual
+    Checks: trace/norm relations of the eigenvalue pair, for inert p that
+    phi' has the order l' that eigen_data sets equal to l, the mutual
     divisibility l' | 2l and l | 2l', M1 in {M0, 2*M0}, and that the
     companion matrix has order exactly M1.
     """
@@ -282,6 +279,7 @@ def check_eigen_invariants(p: int, params: RecurrenceParams = FIBONACCI) -> Eige
         _check(s == (params.P % p, 0), "trace", p)
         prod = q_mul(ed.phi, ed.phi_prime)
         _check((prod.c0, prod.c1) == (params.Q % p, 0), "norm", p)
+        _check(ext_order(ed.phi_prime) == ed.l_prime, "ord(phi') = l'", p)
     _check((2 * ed.l) % ed.l_prime == 0, "l' | 2l", p)
     _check((2 * ed.l_prime) % ed.l == 0, "l | 2l'", p)
     _check(ed.M1 in (ed.M0, 2 * ed.M0), "M1 in {M0, 2 M0}", p)

@@ -287,11 +287,14 @@ class TestVerify:
          0, "warning: 111 report-only discrepancies (not theorem violations)\n", []),
         (["--lucas", "2,3"], "0ba403926f678cee62e9b78c77dd3bf8f1c81e7320c3b064531a806033b5f8ee",
          0, "warning: 193 report-only discrepancies (not theorem violations)\n", 193),
+        (["--lucas", "1,-2"], "591e4cabd99dbf6c0bed757e24f5cc3b80f33b8585dfffb2635cf601e1941e44",
+         0, "warning: 54 report-only discrepancies (not theorem violations)\n", 54),
     ])
     def test_golden_full_cap(self, extra, digest, code, err, inconsistent):
         # verify 3 4096 --json, the whole default cap: 563 records; the main
         # sweep is inconsistent at p = 13 and 17 and nowhere else, and the
-        # Lucas sweep (P, Q) = (2, 3) reports 193 inconsistent primes
+        # Lucas sweeps (P, Q) = (2, 3) and (1, -2), whose |Q| >= 2 gives
+        # multipliers other than +-1, report 193 and 54 inconsistent primes
         r = run_cli("verify", "3", "4096", "--json", *extra)
         assert (r.returncode, r.stderr) == (code, err)
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest

@@ -386,28 +386,21 @@ class TestStarSummary:
         with pytest.raises(InternalInvariantViolation, match="already walked"):
             star_summary(13)
 
-    def test_wrong_line_order_raises(self, monkeypatch):
-        # a line pass that doubles each ord(mu) is caught by direct iteration:
-        # the multiplier walk from (1, r_0) returns to 1 halfway, and it
-        # raises rather than report wrong periods
-        real = fibseq.least_dividing
-        monkeypatch.setattr(fibseq, "least_dividing", lambda f, holds: 2 * real(f, holds))
-        with pytest.raises(InternalInvariantViolation):
-            star_summary(13)
+    @pytest.mark.parametrize("P,Q", [(1, -1), (1, -2), (3, 1)])
+    def test_orders_by_iteration_alone(self, monkeypatch, P, Q):
+        # each ord(mu) is read by iterating mu, with no factoring or prime
+        # stripping: the walk and the census it is checked against share no
+        # order routine
+        params = RecurrenceParams(P, Q)
+        primes = [p for p in primes_upto(200) if Q % p != 0]
+        expected = [star_summary(p, params) for p in primes]
 
-    def test_wrong_line_order_too_small_raises(self, monkeypatch):
-        # a line pass that halves an even ord(mu) stops the multiplier walk
-        # halfway round: mod 13 the zero-free line orbit has d = 4, so mu^2
-        # is not 1, the walk does not close on its start, and this raises
-        real = fibseq.least_dividing
+        def unused(*args):
+            raise AssertionError("star_summary factors or strips primes")
 
-        def halved(f, holds):
-            d = real(f, holds)
-            return d // 2 if d % 2 == 0 else d
-
-        monkeypatch.setattr(fibseq, "least_dividing", halved)
-        with pytest.raises(InternalInvariantViolation, match="does not close"):
-            star_summary(13)
+        monkeypatch.setattr(fibseq, "factorize", unused)
+        monkeypatch.setattr(fibseq, "least_dividing", unused)
+        assert [star_summary(p, params) for p in primes] == expected
 
     def test_no_quadratic_buffer(self):
         # p = 2017 has one zero-free period, 4036; a p^2-byte table would be 4 MB

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibfield import theorem
+from fibfield import fibseq, theorem
 from fibfield.errors import (
     BadPrime,
     DegenerateDiscriminant,
@@ -97,6 +97,15 @@ class TestEigenData:
         """)
         r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert r.stdout == "raised mat_order = M1 fails at p = 11\n", r.stderr
+
+    def test_wrong_phi_prime_order_raises(self, monkeypatch):
+        # eigen_data sets l' = l for inert p without computing it, so the
+        # invariants compute ord(phi') and raise when it differs: 13 is inert
+        real = theorem.ext_order
+        monkeypatch.setattr(theorem, "ext_order",
+                            lambda x: real(x) if x == x.ctx.lam() else 2 * real(x))
+        with pytest.raises(AssertionError, match=r"ord\(phi'\) = l' fails at p = 13"):
+            check_eigen_invariants(13)
 
     def test_root_choice_immaterial(self):
         # the order condition only sees the unordered pair of orders
@@ -274,6 +283,34 @@ class TestCensus:
         monkeypatch.setattr(theorem, "star_summary", one_more)
         with pytest.raises(InternalInvariantViolation, match="census"):
             sweep(13)
+
+    @pytest.mark.parametrize("wrong", [lambda d: 2 * d, lambda d: d // 2],
+                             ids=["doubled", "halved"])
+    def test_wrong_multiplier_order_raises(self, monkeypatch, wrong):
+        # mod 13 the one zero-free line orbit has length 7 and d = 4, so
+        # period 28; a walk that reads d as 8 or 2 reports 56 or 14, and
+        # both sweeps raise from the census rather than record either
+        real = fibseq._multiplier_order
+        monkeypatch.setattr(fibseq, "_multiplier_order", lambda mu, p: wrong(real(mu, p)))
+        for sweep in (verify_main, verify_complementary):
+            with pytest.raises(InternalInvariantViolation, match="census"):
+                sweep(13)
+
+    def test_wrong_multiplier_order_raises_under_optimize(self):
+        # the census comparison must not rely on assert, which python -O strips
+        code = textwrap.dedent("""
+            import fibfield.fibseq as fibseq
+            from fibfield.errors import InternalInvariantViolation
+            from fibfield.theorem import verify_main
+            fibseq._multiplier_order = lambda mu, p: 1
+            try:
+                verify_main(13)
+            except InternalInvariantViolation as exc:
+                print("raised", exc)
+        """)
+        r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert r.stdout == ("raised zero-free periods [7] mod 13 differ from the "
+                            "eigenvalue census [28]\n"), r.stderr
 
 
 class TestKnownFindingByHand:
