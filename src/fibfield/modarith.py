@@ -177,12 +177,17 @@ def least_dividing(f: Factorization, holds: Callable[[int], bool]) -> int:
     return t
 
 
-def multiplicative_order(a: int, n: int, group_order: int) -> int:
-    """Least t >= 1 with a^t = 1 mod n, given a multiple of the order."""
+def multiplicative_order(a: int, n: int) -> int:
+    """Least t >= 1 with a^t = 1 mod n, by stripping the primes of n - 1.
+
+    For prime n, Lagrange gives ord(a) | n - 1.  For any n, least_dividing
+    raises BadGroupOrder unless a^(n-1) = 1, and when that holds ord(a)
+    divides n - 1, so the result is the exact order even for composite n.
+    """
     a %= n
     if math.gcd(a, n) != 1:
         raise NotInvertible(f"gcd({a}, {n}) != 1")
-    return least_dividing(factorize(group_order), lambda t: pow(a, t, n) == 1)
+    return least_dividing(factorize(n - 1), lambda t: pow(a, t, n) == 1)
 
 
 def legendre(a: int, p: int) -> int:

@@ -130,6 +130,6 @@ def ext_order(x: QuadElement) -> int:
         raise ZeroElement("order of 0 is undefined")
     p = x.ctx.p
     one = x.ctx.one()
-    n = multiplicative_order(norm(x), p, p - 1)
+    n = multiplicative_order(norm(x), p)
     y = q_pow(x, n)
     return n * least_dividing(factorize(p + 1), lambda t: q_pow(y, t) == one)

@@ -38,12 +38,7 @@ from .errors import (
     InternalInvariantViolation,
     SpecialPrime,
 )
-from .fibseq import (
-    FIBONACCI,
-    RecurrenceParams,
-    mat_order,
-    star_summary,
-)
+from .fibseq import FIBONACCI, RecurrenceParams, star_summary
 from .modarith import (
     divisors,
     factorize,
@@ -53,7 +48,7 @@ from .modarith import (
     multiplicative_order,
     sqrt_mod,
 )
-from .quadext import QuadContext, QuadElement, conjugate, ext_order, q_mul
+from .quadext import QuadContext, QuadElement, conjugate, ext_order
 
 SPECIAL_PRIMES = (2, 5)
 
@@ -111,7 +106,6 @@ class EigenData(NamedTuple):
     """
 
     p: int
-    params: RecurrenceParams
     splitting: str
     phi: int | QuadElement
     phi_prime: int | QuadElement
@@ -138,13 +132,13 @@ def eigen_data(p: int, params: RecurrenceParams = FIBONACCI) -> EigenData:
         inv2 = mod_inv(2, p)
         phi = (params.P + r) * inv2 % p
         phi_prime = (params.P - r) * inv2 % p
-        l = multiplicative_order(phi, p, p - 1)
-        l_prime = multiplicative_order(phi_prime, p, p - 1)
-        return EigenData(p, params, kind, phi, phi_prime, l, l_prime)
+        l = multiplicative_order(phi, p)
+        l_prime = multiplicative_order(phi_prime, p)
+        return EigenData(p, kind, phi, phi_prime, l, l_prime)
     phi = QuadContext(p, params.P, params.Q).lam()
     # phi' = phi^p by Frobenius, and gcd(p, p^2 - 1) = 1, so l' = l
     l = ext_order(phi)
-    return EigenData(p, params, kind, phi, conjugate(phi), l, l)
+    return EigenData(p, kind, phi, conjugate(phi), l, l)
 
 
 def census(ed: EigenData) -> set[int]:
@@ -163,7 +157,7 @@ def census(ed: EigenData) -> set[int]:
     """
     p = ed.p
     if ed.splitting == "split":
-        e = multiplicative_order(ed.phi * mod_inv(ed.phi_prime, p), p, p - 1)
+        e = multiplicative_order(ed.phi * mod_inv(ed.phi_prime, p), p)
         periods = {ed.l, ed.l_prime}
         if (p - 1) // e >= 2:
             periods.add(math.lcm(ed.l, ed.l_prime))
@@ -258,36 +252,3 @@ def verify_complementary(p: int) -> dict:
         "equivalence_23": all(e["period"] == e["order"] for e in entries.values()),
         "notes": notes,
     }
-
-
-def check_eigen_invariants(p: int, params: RecurrenceParams = FIBONACCI) -> EigenData:
-    """Run the proof-ingredient self-checks for one prime and return the data.
-
-    Checks: trace/norm relations of the eigenvalue pair, for inert p that
-    phi' has the order l' that eigen_data sets equal to l, the mutual
-    divisibility l' | 2l and l | 2l', M1 in {M0, 2*M0}, and that the
-    companion matrix has order exactly M1.
-    """
-    ed = eigen_data(p, params)
-    if ed.splitting == "split":
-        _check((ed.phi + ed.phi_prime) % p == params.P % p, "trace", p)
-        _check((ed.phi * ed.phi_prime) % p == params.Q % p, "norm", p)
-        if params.is_fibonacci:
-            _check(ed.phi * ed.phi_prime % p == p - 1, "phi' = -phi^{-1}", p)
-    else:
-        s = (ed.phi.c0 + ed.phi_prime.c0) % p, (ed.phi.c1 + ed.phi_prime.c1) % p
-        _check(s == (params.P % p, 0), "trace", p)
-        prod = q_mul(ed.phi, ed.phi_prime)
-        _check((prod.c0, prod.c1) == (params.Q % p, 0), "norm", p)
-        _check(ext_order(ed.phi_prime) == ed.l_prime, "ord(phi') = l'", p)
-    _check((2 * ed.l) % ed.l_prime == 0, "l' | 2l", p)
-    _check((2 * ed.l_prime) % ed.l == 0, "l | 2l'", p)
-    _check(ed.M1 in (ed.M0, 2 * ed.M0), "M1 in {M0, 2 M0}", p)
-    _check(mat_order(params, p) == ed.M1, "mat_order = M1", p)
-    return ed
-
-
-def _check(ok: bool, what: str, p: int) -> None:
-    """Raise AssertionError even under python -O, where assert is stripped."""
-    if not ok:
-        raise AssertionError(f"{what} fails at p = {p}")

@@ -1,11 +1,14 @@
-"""Shared naive oracles, independent of the library's fast paths, and
-`orbit_sizes`, which reads the library's pair walker over every pair."""
+"""Shared naive oracles, independent of the library's fast paths,
+`orbit_sizes`, which reads the library's pair walker over every pair, and
+`check_eigen_invariants`, the proof-ingredient self-checks of `eigen_data`."""
 
 from __future__ import annotations
 
 import pytest
 
-from fibfield.fibseq import FIBONACCI, RecurrenceParams, _orbits
+from fibfield.fibseq import FIBONACCI, RecurrenceParams, _orbits, mat_order
+from fibfield.quadext import ext_order, q_mul
+from fibfield.theorem import EigenData, eigen_data
 
 # The literal value-set condition is satisfiable at m = p-1 for p = 13 and 17
 # (zero-free orbits of period 2(p+1) covering all of F_p^x) although the
@@ -102,6 +105,39 @@ def naive_fib_eigen_orders(p: int) -> tuple[int, int]:
         order(lambda c: (c[1], (c[0] + c[1]) % p)),
         order(lambda c: ((c[0] - c[1]) % p, -c[0] % p)),
     )
+
+
+def check_eigen_invariants(p: int, params: RecurrenceParams = FIBONACCI) -> EigenData:
+    """Run the proof-ingredient self-checks for one prime and return the data.
+
+    Checks: trace/norm relations of the eigenvalue pair, for inert p that
+    phi' has the order l' that eigen_data sets equal to l, the mutual
+    divisibility l' | 2l and l | 2l', M1 in {M0, 2*M0}, and that the
+    companion matrix has order exactly M1.
+    """
+    ed = eigen_data(p, params)
+    if ed.splitting == "split":
+        _check((ed.phi + ed.phi_prime) % p == params.P % p, "trace", p)
+        _check((ed.phi * ed.phi_prime) % p == params.Q % p, "norm", p)
+        if params.is_fibonacci:
+            _check(ed.phi * ed.phi_prime % p == p - 1, "phi' = -phi^{-1}", p)
+    else:
+        s = (ed.phi.c0 + ed.phi_prime.c0) % p, (ed.phi.c1 + ed.phi_prime.c1) % p
+        _check(s == (params.P % p, 0), "trace", p)
+        prod = q_mul(ed.phi, ed.phi_prime)
+        _check((prod.c0, prod.c1) == (params.Q % p, 0), "norm", p)
+        _check(ext_order(ed.phi_prime) == ed.l_prime, "ord(phi') = l'", p)
+    _check((2 * ed.l) % ed.l_prime == 0, "l' | 2l", p)
+    _check((2 * ed.l_prime) % ed.l == 0, "l | 2l'", p)
+    _check(ed.M1 in (ed.M0, 2 * ed.M0), "M1 in {M0, 2 M0}", p)
+    _check(mat_order(params, p) == ed.M1, "mat_order = M1", p)
+    return ed
+
+
+def _check(ok: bool, what: str, p: int) -> None:
+    """Raise AssertionError even under python -O, where assert is stripped."""
+    if not ok:
+        raise AssertionError(f"{what} fails at p = {p}")
 
 
 def trial_division_is_prime(n: int) -> bool:

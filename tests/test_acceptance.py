@@ -40,9 +40,16 @@ from fibfield.modarith import (
     multiplicative_order,
 )
 from fibfield.quadext import QuadContext, norm, ext_order
-from fibfield.theorem import check_eigen_invariants, eigen_data
+from fibfield.theorem import eigen_data
 
-from conftest import KNOWN_NONUNIFORM, naive_order, naive_period, power_subgroup, primes_upto
+from conftest import (
+    KNOWN_NONUNIFORM,
+    check_eigen_invariants,
+    naive_order,
+    naive_period,
+    power_subgroup,
+    primes_upto,
+)
 
 
 def report(criterion, ok, detail=""):
@@ -144,7 +151,7 @@ def test_criterion_4_oracle_equivalence():
     failures = []
     for p in primes_upto(100):
         for a in range(1, p):
-            if multiplicative_order(a, p, p - 1) != naive_order(a, p):
+            if multiplicative_order(a, p) != naive_order(a, p):
                 failures.append(("order", p, a))
     for p in (3, 7, 13, 17):  # inert Fibonacci contexts, p <= 20
         ctx = QuadContext(p, 1, -1)
@@ -192,7 +199,7 @@ def test_criterion_5_lucas_constructive_direction():
                 ed = eigen_data(p, params)
                 for lam in (ed.phi, ed.phi_prime):
                     seq = SequenceId(p, 1, lam, params)
-                    order = multiplicative_order(lam, p, p - 1)
+                    order = multiplicative_order(lam, p)
                     if not (
                         is_star(seq)
                         and minimal_period(seq) == order

@@ -9,7 +9,9 @@ import pytest
 
 from fibfield import cli, fibseq
 from fibfield.errors import InternalInvariantViolation
-from fibfield.theorem import check_eigen_invariants, verify_main
+from fibfield.theorem import verify_main
+
+from conftest import check_eigen_invariants
 
 PKG = [sys.executable, "-m", "fibfield"]
 

@@ -242,7 +242,7 @@ class TestStarAndValues:
         for p in [q for q in primes_upto(100) if q % 5 in (1, 4)]:
             ed = eigen_data(p)
             seq = SequenceId(p, 1, ed.phi, FIBONACCI)
-            m = multiplicative_order(ed.phi, p, p - 1)
+            m = multiplicative_order(ed.phi, p)
             assert minimal_period(seq) == m
             assert value_set(seq) == power_subgroup(p, (p - 1) // m)
 

@@ -142,29 +142,32 @@ class TestLeastDividing:
 
 class TestMultiplicativeOrder:
     def test_identity(self):
-        assert multiplicative_order(1, 17, 16) == 1
+        assert multiplicative_order(1, 17) == 1
 
     def test_known(self):
-        assert multiplicative_order(8, 11, 10) == 10
-        assert multiplicative_order(4, 11, 10) == 5
+        assert multiplicative_order(8, 11) == 10
+        assert multiplicative_order(4, 11) == 5
+        # composite n: 561 = 3 * 11 * 17 is a Carmichael number, so 2^560 = 1
+        # and stripping the primes of 560 gives the exact order
+        assert multiplicative_order(2, 561) == 40 == naive_order(2, 561)
 
     def test_errors(self):
         with pytest.raises(NotInvertible):
-            multiplicative_order(4, 8, 2)
+            multiplicative_order(4, 8)
         with pytest.raises(BadGroupOrder):
-            multiplicative_order(2, 11, 7)
+            multiplicative_order(2, 15)  # 2^14 = 4 mod 15
 
     def test_naive_oracle_exhaustive(self):
         for p in primes_upto(100):
             for a in range(1, p):
-                assert multiplicative_order(a, p, p - 1) == naive_order(a, p)
+                assert multiplicative_order(a, p) == naive_order(a, p)
 
     def test_certificate_sampled(self):
         # minimality certificate without the naive loop: t annihilates, t/q doesn't
         rng = random.Random(1)
         for p in primes_upto(1000)[-30:]:
             for a in rng.sample(range(2, p), 5):
-                t = multiplicative_order(a, p, p - 1)
+                t = multiplicative_order(a, p)
                 assert pow(a, t, p) == 1
                 for q, _ in factorize(t).factors:
                     assert pow(a, t // q, p) != 1

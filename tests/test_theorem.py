@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,6 @@ from fibfield.fibseq import FIBONACCI, RecurrenceParams, mat_order, mat_pow, com
 from fibfield.quadext import QuadContext, ext_order
 from fibfield.theorem import (
     census,
-    check_eigen_invariants,
     cond_order,
     degeneracy,
     eigen_data,
@@ -27,8 +27,10 @@ from fibfield.theorem import (
     verify_main,
 )
 
+import conftest
 from conftest import (
     KNOWN_NONUNIFORM,
+    check_eigen_invariants,
     naive_fib_eigen_orders,
     naive_orbits,
     naive_period,
@@ -87,11 +89,13 @@ class TestEigenData:
 
     def test_invariant_failure_raises_under_optimize(self):
         # check_eigen_invariants must not rely on assert, which python -O strips
-        code = textwrap.dedent("""
-            import fibfield.theorem as theorem
-            theorem.mat_order = lambda params, N: 1
+        code = textwrap.dedent(f"""
+            import sys
+            sys.path.insert(0, {os.path.dirname(__file__)!r})
+            import conftest
+            conftest.mat_order = lambda params, N: 1
             try:
-                theorem.check_eigen_invariants(11)
+                conftest.check_eigen_invariants(11)
             except AssertionError as exc:
                 print("raised", exc)
         """)
@@ -101,8 +105,8 @@ class TestEigenData:
     def test_wrong_phi_prime_order_raises(self, monkeypatch):
         # eigen_data sets l' = l for inert p without computing it, so the
         # invariants compute ord(phi') and raise when it differs: 13 is inert
-        real = theorem.ext_order
-        monkeypatch.setattr(theorem, "ext_order",
+        real = conftest.ext_order
+        monkeypatch.setattr(conftest, "ext_order",
                             lambda x: real(x) if x == x.ctx.lam() else 2 * real(x))
         with pytest.raises(AssertionError, match=r"ord\(phi'\) = l' fails at p = 13"):
             check_eigen_invariants(13)
@@ -270,6 +274,33 @@ class TestCensus:
         params = RecurrenceParams(P, Q)
         assume(degeneracy(p, params, sweep=False) is None)
         assert census(eigen_data(p, params)) == naive_star_summary(p, P, Q)[0]
+
+    @pytest.mark.parametrize("P, Q, e0", [
+        (1, 1, 3), (-1, 1, 3), (2, 4, 3), (-2, 4, 3),
+        (2, 2, 4), (-2, 2, 4), (3, 3, 6), (-3, 3, 6),
+    ])
+    def test_root_of_unity_families(self, P, Q, e0):
+        # P^2 in {Q, 2Q, 3Q} makes phi/phi' a root of unity of order e0 at
+        # every admissible p, so B^e0 is the first scalar power of B and the
+        # census follows from e0 and the eigenvalue orders alone
+        params = RecurrenceParams(P, Q)
+        for p in primes_upto(1000)[1:]:
+            if degeneracy(p, params, sweep=False) is not None:
+                continue
+            a, b, c, d = 0, 1, -Q % p, P % p  # B^e by plain iteration
+            e = 1
+            while b or c or a != d:
+                a, b, c, d = b * -Q % p, (a + b * P) % p, d * -Q % p, (c + d * P) % p
+                e += 1
+            assert e == e0, p
+            ed = eigen_data(p, params)
+            if ed.splitting == "split":
+                predicted = {ed.l, ed.l_prime}
+                if (p - 1) // e0 >= 2:
+                    predicted.add(math.lcm(ed.l, ed.l_prime))
+            else:
+                predicted = {ed.l} if (p + 1) // e0 >= 2 else set()
+            assert census(ed) == predicted, p
 
     @pytest.mark.parametrize("sweep", [verify_main, verify_complementary])
     def test_extra_period_raises(self, monkeypatch, sweep):
