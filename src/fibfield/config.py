@@ -9,7 +9,9 @@ multiplier and checked against the eigenvalue census.  So
 DEFAULT_THEOREM_CAP bounds both the primes a sweep may reach and the modulus
 of `enumerate`; every record carries the cap, so it stays at 4096 although
 a sweep no longer needs it.  The environment variable FIBFIELD_CAP may lower
-the sweep cap, never raise it; it leaves the enumeration cap alone.
+the sweep cap, never raise it; it leaves the enumeration cap alone.  The
+library checks the sweep cap in one place, `fibseq.star_summary`, the walk
+it bounds, and `verify` refuses a range that ends past it.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ class FibfieldError(Exception):
 
 
 class NotInvertible(FibfieldError):
-    """Element is not a unit modulo n (gcd != 1)."""
+    """Element is not a unit: a residue with gcd(a, n) != 1, a companion
+    matrix with gcd(Q, N) != 1, or the zero element of F_{p^2}."""
 
 
 class BadGroupOrder(FibfieldError):
@@ -15,19 +16,16 @@ class BadGroupOrder(FibfieldError):
 
 
 class BadPrime(FibfieldError):
-    """Argument fails the primality (or special-prime) precondition."""
+    """Argument fails the primality precondition (p is not an odd prime)."""
 
 
 class CapExceeded(FibfieldError):
     """A prime, modulus or period exceeds its configured cap."""
 
 
-class ContextMismatch(FibfieldError):
-    """Binary operation on quadratic elements from different contexts."""
-
-
 class ModulusMismatch(FibfieldError):
-    """Binary operation on matrices over different moduli."""
+    """Binary operation on matrices over different moduli, or on quadratic
+    elements from different contexts."""
 
 
 class SplitContext(FibfieldError):
@@ -35,20 +33,9 @@ class SplitContext(FibfieldError):
     field; QuadContext refuses it when it is built."""
 
 
-class ZeroElement(FibfieldError):
-    """Order of the zero element requested."""
-
-
-class SingularMatrix(FibfieldError):
-    """Companion matrix is not invertible: gcd(Q, N) != 1."""
-
-
 class DegenerateDiscriminant(FibfieldError):
-    """p divides the discriminant P^2 - 4Q (repeated eigenvalue)."""
-
-
-class SpecialPrime(FibfieldError):
-    """p in {2, 5}: a Fibonacci sweep skips it; enumerate_star lists its orbits."""
+    """p divides the discriminant P^2 - 4Q (repeated eigenvalue), or Q, or
+    in a sweep P: the rule of theorem.degeneracy."""
 
 
 class InternalInvariantViolation(FibfieldError):

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .config import DEFAULT_THEOREM_CAP
-from .errors import BadPrime, CapExceeded, InternalInvariantViolation, ModulusMismatch, SingularMatrix
+from .config import DEFAULT_THEOREM_CAP, theorem_cap
+from .errors import BadPrime, CapExceeded, InternalInvariantViolation, ModulusMismatch, NotInvertible
 from .modarith import Factorization, factorize, is_prime, least_dividing
 
 
@@ -193,14 +193,14 @@ def _check_modulus(N: int) -> None:
 
 
 def _check_cap(N: int) -> None:
-    # `_orbits` walks all N^2 pairs in N^2 bytes; star_summary takes O(N) steps and bytes
+    # `_orbits` walks all N^2 pairs in N^2 bytes
     if N > DEFAULT_THEOREM_CAP:
         raise CapExceeded(f"N = {N} exceeds the enumeration cap {DEFAULT_THEOREM_CAP}")
 
 
 def _require_invertible(params: RecurrenceParams, N: int) -> None:
     if math.gcd(params.Q, N) != 1:
-        raise SingularMatrix(f"gcd(Q={params.Q}, N={N}) != 1")
+        raise NotInvertible(f"gcd(Q={params.Q}, N={N}) != 1")
 
 
 def _orbits(N: int, params: RecurrenceParams):
@@ -273,9 +273,13 @@ def star_summary(
     d with mu^d = 1, once per multiplier, since every line orbit off the
     eigenlines has the same mu.  The check on d is theorem.census: both
     sweeps compare these periods with the ones the eigenvalues predict.
+
+    Raises CapExceeded for p above the sweep cap, `config.theorem_cap()`.
     """
     _check_modulus(p)
-    _check_cap(p)
+    cap = theorem_cap()
+    if p > cap:
+        raise CapExceeded(f"p = {p} exceeds the theorem sweep cap {cap}")
     if not is_prime(p):
         raise BadPrime(f"p = {p} is not prime")
     _require_invertible(params, p)

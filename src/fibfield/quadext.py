@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import (
-    ContextMismatch,
-    InternalInvariantViolation,
-    SplitContext,
-    ZeroElement,
-)
+from .errors import BadPrime, InternalInvariantViolation, ModulusMismatch, NotInvertible, SplitContext
 from .modarith import factorize, is_prime, least_dividing, legendre, multiplicative_order
 
 
@@ -30,7 +25,7 @@ class _QuadContextFields(NamedTuple):
 class QuadContext(_QuadContextFields):
     """The field F_p[x]/(x^2 - Px + Q): lam has trace P and norm Q.
 
-    Raises ValueError unless p is an odd prime, and SplitContext unless
+    Raises BadPrime unless p is an odd prime, and SplitContext unless
     P^2 - 4Q is a non-residue mod p.
     """
 
@@ -38,7 +33,7 @@ class QuadContext(_QuadContextFields):
 
     def __new__(cls, p: int, P: int, Q: int):
         if p < 3 or not is_prime(p):
-            raise ValueError(f"p = {p} must be an odd prime")
+            raise BadPrime(f"p = {p} must be an odd prime")
         if legendre(P * P - 4 * Q, p) != -1:
             raise SplitContext(f"x^2 - {P % p}x + {Q % p} splits mod {p}; not a field")
         return super().__new__(cls, p, P % p, Q % p)
@@ -66,7 +61,7 @@ class QuadElement(NamedTuple):
 
 def _same_ctx(x: QuadElement, y: QuadElement) -> QuadContext:
     if x.ctx != y.ctx:
-        raise ContextMismatch(f"{x.ctx} vs {y.ctx}")
+        raise ModulusMismatch(f"{x.ctx} vs {y.ctx}")
     return x.ctx
 
 
@@ -127,7 +122,7 @@ def ext_order(x: QuadElement) -> int:
     alone; least_dividing raises BadGroupOrder unless y^{p+1} = 1.
     """
     if x.is_zero():
-        raise ZeroElement("order of 0 is undefined")
+        raise NotInvertible("order of 0 is undefined")
     p = x.ctx.p
     one = x.ctx.one()
     n = multiplicative_order(norm(x), p)

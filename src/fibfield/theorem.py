@@ -30,14 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .config import theorem_cap
-from .errors import (
-    BadPrime,
-    CapExceeded,
-    DegenerateDiscriminant,
-    InternalInvariantViolation,
-    SpecialPrime,
-)
+from .errors import BadPrime, DegenerateDiscriminant, InternalInvariantViolation
 from .fibseq import FIBONACCI, RecurrenceParams, star_summary
 from .modarith import (
     divisors,
@@ -79,12 +72,6 @@ def _check_prime(p: int, params: RecurrenceParams, sweep: bool = False) -> None:
     reason = degeneracy(p, params, sweep)
     if reason is not None:
         raise DegenerateDiscriminant(reason)
-
-
-def _check_cap(p: int) -> None:
-    cap = theorem_cap()
-    if p > cap:
-        raise CapExceeded(f"p = {p} exceeds the theorem sweep cap {cap}")
 
 
 def splitting_type(p: int, params: RecurrenceParams = FIBONACCI) -> str:
@@ -178,13 +165,12 @@ def _check_census(ed: EigenData, periods: set[int]) -> None:
 def _sweep_prime(p: int, params: RecurrenceParams) -> tuple[EigenData, set[int], set[int]]:
     """The checks and facts both sweeps start from: the eigenvalue data,
     and the zero-free periods and value-set subgroup orders of star_summary,
-    checked against the census.  Raises SpecialPrime for Fibonacci p = 2, 5,
-    then BadPrime, DegenerateDiscriminant (p | P as well) and CapExceeded."""
-    if params.is_fibonacci and p in SPECIAL_PRIMES:
-        raise SpecialPrime(f"p = {p} is a special prime; enumerate_star lists its orbits")
+    checked against the census.  Raises BadPrime unless p is an odd prime
+    (the Fibonacci p = 2), then DegenerateDiscriminant (p | P as well; the
+    Fibonacci p = 5), then CapExceeded from star_summary, which checks the
+    sweep cap."""
     _check_prime(p, params, sweep=True)
     ed = eigen_data(p, params)
-    _check_cap(p)
     periods, subgroup_ms = star_summary(p, params)
     _check_census(ed, periods)
     return ed, periods, subgroup_ms

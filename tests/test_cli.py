@@ -309,12 +309,12 @@ class TestVerify:
         # a reader that stops after one line, as `| head -1` does: exit
         # 128 + SIGPIPE, and nothing on stderr; the 506 KB of output cannot
         # all fit in the pipe before it closes
-        proc = subprocess.Popen(PKG + ["verify", "3", "4096", "--json"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        assert json.loads(proc.stdout.readline())["payload"]["p"] == 3
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=120), err) == (141, "")
+        with subprocess.Popen(PKG + ["verify", "3", "4096", "--json"], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            assert json.loads(proc.stdout.readline())["payload"]["p"] == 3
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (141, "")
 
     def test_human_complementary(self):
         r = run_cli("verify", "3", "30", "--complementary")

@@ -13,7 +13,7 @@ from fibfield.errors import (
     CapExceeded,
     InternalInvariantViolation,
     ModulusMismatch,
-    SingularMatrix,
+    NotInvertible,
 )
 from fibfield.fibseq import (
     FIBONACCI,
@@ -98,7 +98,7 @@ class TestMatOrder:
         assert mat_order(FIBONACCI, 1) == 1  # every matrix mod 1 is the identity
 
     def test_singular(self):
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(NotInvertible, match=r"^gcd\(Q=2, N=6\) != 1$"):
             mat_order(RecurrenceParams(1, 2), 6)
 
     @pytest.mark.parametrize("N", [0, -3])
@@ -295,7 +295,7 @@ class TestEnumerateStar:
             assert sum(sizes) == N * N - 1
 
     def test_singular_composite_rejected(self):
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(NotInvertible, match=r"^gcd\(Q=2, N=6\) != 1$"):
             enumerate_star(6, RecurrenceParams(1, 2))
 
     def test_cap(self):
@@ -412,9 +412,15 @@ class TestStarSummary:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_sweep_cap(self, monkeypatch):
+        # the walk checks the sweep cap, which FIBFIELD_CAP lowers, not the enumeration cap
+        monkeypatch.setenv("FIBFIELD_CAP", "100")
+        with pytest.raises(CapExceeded, match="^p = 101 exceeds the theorem sweep cap 100$"):
+            star_summary(101)
+
     def test_singular_rejected(self):
         # Q = 0 mod 7: the sequence 0, 1, 1, 1, ... never returns to 0, so this raises, not loops
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(NotInvertible, match=r"^gcd\(Q=7, N=7\) != 1$"):
             star_summary(7, RecurrenceParams(1, 7))
 
     @pytest.mark.parametrize("N", [9, 15])

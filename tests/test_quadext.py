@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibfield.errors import ContextMismatch, SplitContext, ZeroElement
+from fibfield.errors import BadPrime, ModulusMismatch, NotInvertible, SplitContext
 from fibfield.modarith import legendre
 from fibfield.quadext import (
     QuadContext,
@@ -56,7 +56,8 @@ class TestRingOps:
         assert q_pow(lam, 16) == ctx.one()
 
     def test_context_mismatch(self):
-        with pytest.raises(ContextMismatch):
+        message = r"^QuadContext\(p=7, P=1, Q=6\) vs QuadContext\(p=13, P=1, Q=12\)$"
+        with pytest.raises(ModulusMismatch, match=message):
             q_mul(QuadContext(7, 1, -1).lam(), QuadContext(13, 1, -1).lam())
 
     def test_pow_matches_repeated_mul(self):
@@ -136,7 +137,7 @@ class TestExtOrder:
         assert ext_order(QuadContext(3, 1, -1).lam()) == 8  # |F_9^x| = 8
 
     def test_zero(self):
-        with pytest.raises(ZeroElement):
+        with pytest.raises(NotInvertible, match="^order of 0 is undefined$"):
             ext_order(QuadContext(7, 1, -1).element(0, 0))
 
     def test_split_context_refused(self):
@@ -181,7 +182,7 @@ class TestContext:
                     QuadContext(p, 1, -1)
 
     def test_rejects_bad_prime(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadPrime, match="^p = 8 must be an odd prime$"):
             QuadContext(8, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadPrime, match="^p = 2 must be an odd prime$"):
             QuadContext(2, 1, 1)

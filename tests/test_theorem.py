@@ -13,7 +13,6 @@ from fibfield.errors import (
     BadPrime,
     DegenerateDiscriminant,
     InternalInvariantViolation,
-    SpecialPrime,
 )
 from fibfield.fibseq import FIBONACCI, RecurrenceParams, mat_order, mat_pow, companion_matrix, Mat2
 from fibfield.quadext import QuadContext, ext_order
@@ -159,9 +158,10 @@ class TestVerifyMain:
         assert verify_main(19)["consistent"]
 
     def test_special_prime_routed(self):
-        with pytest.raises(SpecialPrime):
+        # Fibonacci p = 5 divides the discriminant, and p = 2 is no odd prime
+        with pytest.raises(DegenerateDiscriminant, match="^p = 5 divides discriminant 5$"):
             verify_main(5)
-        with pytest.raises(SpecialPrime):
+        with pytest.raises(BadPrime, match="^p = 2 is not an odd prime$"):
             verify_main(2)
 
     def test_non_prime_refused(self):
