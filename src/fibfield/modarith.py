@@ -201,15 +201,12 @@ def legendre(a: int, p: int) -> int:
 
 def sqrt_mod(a: int, p: int) -> tuple[int, int] | None:
     """Both square roots of a mod p (smaller first), or None if a is a
-    non-residue; (0, 0) for a = 0.  Tonelli-Shanks."""
+    non-residue; (0, 0) for a = 0.  Tonelli-Shanks for every odd prime p."""
     a %= p
     if a == 0:
         return (0, 0)
     if legendre(a, p) != 1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return (r, p - r) if r <= p - r else (p - r, r)
     # Tonelli-Shanks: write p-1 = q * 2^s with q odd
     q, s = p - 1, 0
     while q % 2 == 0:

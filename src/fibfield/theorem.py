@@ -36,7 +36,6 @@ from .modarith import (
     divisors,
     factorize,
     is_prime,
-    legendre,
     mod_inv,
     multiplicative_order,
     sqrt_mod,
@@ -74,16 +73,6 @@ def _check_prime(p: int, params: RecurrenceParams, sweep: bool = False) -> None:
         raise DegenerateDiscriminant(reason)
 
 
-def splitting_type(p: int, params: RecurrenceParams = FIBONACCI) -> str:
-    """'split' iff the characteristic polynomial has its roots in F_p."""
-    _check_prime(p, params)
-    split = legendre(params.discriminant, p) == 1
-    if params.is_fibonacci and split != (p % 5 in (1, 4)):
-        # independent check via the residue of p mod 5
-        raise InternalInvariantViolation(f"Legendre symbol disagrees with p mod 5 at p = {p}")
-    return "split" if split else "inert"
-
-
 class EigenData(NamedTuple):
     """Eigenvalues of the companion matrix and their multiplicative orders.
 
@@ -109,23 +98,24 @@ class EigenData(NamedTuple):
 
 
 def eigen_data(p: int, params: RecurrenceParams = FIBONACCI) -> EigenData:
-    """Eigenvalues and orders; phi takes the smaller square root of D."""
-    kind = splitting_type(p, params)
-    if kind == "split":
-        roots = sqrt_mod(params.discriminant % p, p)
-        if roots is None:
-            raise InternalInvariantViolation(f"split p = {p} but no square root of D")
+    """Eigenvalues and orders; p splits iff D has square roots mod p, and phi takes the smaller."""
+    _check_prime(p, params)
+    roots = sqrt_mod(params.discriminant, p)
+    if params.is_fibonacci and (roots is not None) != (p % 5 in (1, 4)):
+        # independent check via the residue of p mod 5
+        raise InternalInvariantViolation(f"square root of D disagrees with p mod 5 at p = {p}")
+    if roots is not None:
         r = roots[0]
         inv2 = mod_inv(2, p)
         phi = (params.P + r) * inv2 % p
         phi_prime = (params.P - r) * inv2 % p
         l = multiplicative_order(phi, p)
         l_prime = multiplicative_order(phi_prime, p)
-        return EigenData(p, kind, phi, phi_prime, l, l_prime)
+        return EigenData(p, "split", phi, phi_prime, l, l_prime)
     phi = QuadContext(p, params.P, params.Q).lam()
     # phi' = phi^p by Frobenius, and gcd(p, p^2 - 1) = 1, so l' = l
     l = ext_order(phi)
-    return EigenData(p, kind, phi, conjugate(phi), l, l)
+    return EigenData(p, "inert", phi, conjugate(phi), l, l)
 
 
 def census(ed: EigenData) -> set[int]:
@@ -153,15 +143,6 @@ def census(ed: EigenData) -> set[int]:
     return {ed.l} if (p + 1) // e >= 2 else set()
 
 
-def _check_census(ed: EigenData, periods: set[int]) -> None:
-    """Raise unless the walked periods are the ones the eigenvalues predict."""
-    predicted = census(ed)
-    if periods != predicted:
-        raise InternalInvariantViolation(
-            f"zero-free periods {sorted(periods)} mod {ed.p} differ from the "
-            f"eigenvalue census {sorted(predicted)}")
-
-
 def _sweep_prime(p: int, params: RecurrenceParams) -> tuple[EigenData, set[int], set[int]]:
     """The checks and facts both sweeps start from: the eigenvalue data,
     and the zero-free periods and value-set subgroup orders of star_summary,
@@ -172,7 +153,11 @@ def _sweep_prime(p: int, params: RecurrenceParams) -> tuple[EigenData, set[int],
     _check_prime(p, params, sweep=True)
     ed = eigen_data(p, params)
     periods, subgroup_ms = star_summary(p, params)
-    _check_census(ed, periods)
+    predicted = census(ed)
+    if periods != predicted:
+        raise InternalInvariantViolation(
+            f"zero-free periods {sorted(periods)} mod {p} differ from the "
+            f"eigenvalue census {sorted(predicted)}")
     return ed, periods, subgroup_ms
 
 

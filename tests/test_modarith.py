@@ -213,6 +213,22 @@ class TestSqrtMod:
                     assert s == (p - r) % p
                     assert r <= s or a == 0
 
+    @pytest.mark.parametrize("p, two_adic", [(2013265921, 27), (2147483579, 1)])
+    def test_large_primes(self, p, two_adic):
+        # Tonelli-Shanks with s = 27 (2^27 || p - 1), and with s = 1 for
+        # p = 3 mod 4, where it returns a^((p+1)/4) without entering its loop
+        assert is_prime(p) and (p - 1) & -(p - 1) == 1 << two_adic
+        for x in (2, 3, 12345, 987654321, p - 2):
+            a = x * x % p
+            r, s = sqrt_mod(a, p)
+            assert r * r % p == a
+            assert s == p - r
+            assert r <= s
+            assert x in (r, s)
+        non_residue = next(a for a in range(2, 100) if pow(a, (p - 1) // 2, p) == p - 1)
+        assert sqrt_mod(non_residue, p) is None
+        assert sqrt_mod(non_residue * 4, p) is None
+
 
 class TestPowerSubgroup:
     """The scanning oracle that the value-set tests compare against."""

@@ -15,13 +15,13 @@ from fibfield.errors import (
     InternalInvariantViolation,
 )
 from fibfield.fibseq import FIBONACCI, RecurrenceParams, mat_order, mat_pow, companion_matrix, Mat2
+from fibfield.modarith import mod_inv, multiplicative_order
 from fibfield.quadext import QuadContext, ext_order
 from fibfield.theorem import (
     census,
     cond_order,
     degeneracy,
     eigen_data,
-    splitting_type,
     verify_complementary,
     verify_main,
 )
@@ -34,6 +34,7 @@ from conftest import (
     naive_orbits,
     naive_period,
     naive_star_summary,
+    power_subgroup,
     primes_upto,
 )
 
@@ -45,21 +46,30 @@ def uniform(condition: dict) -> bool:
 
 class TestSplittingType:
     def test_fibonacci(self):
-        assert splitting_type(11) == "split"
-        assert splitting_type(7) == "inert"
-        assert splitting_type(19) == "split"
+        assert eigen_data(11).splitting == "split"
+        assert eigen_data(7).splitting == "inert"
+        assert eigen_data(19).splitting == "split"
 
     def test_degenerate(self):
         with pytest.raises(DegenerateDiscriminant):
-            splitting_type(5)  # 5 divides the discriminant
+            eigen_data(5)  # 5 divides the discriminant
         with pytest.raises(DegenerateDiscriminant):
-            splitting_type(7, RecurrenceParams(1, 7))  # p divides Q
+            eigen_data(7, RecurrenceParams(1, 7))  # p divides Q
 
     def test_bad_prime(self):
         with pytest.raises(BadPrime):
-            splitting_type(9)
+            eigen_data(9)
         with pytest.raises(BadPrime):
-            splitting_type(2)
+            eigen_data(2)
+
+    @pytest.mark.parametrize("p, roots", [(11, None), (7, (3, 4))],
+                             ids=["split-without-root", "inert-with-root"])
+    def test_root_disagreeing_with_p_mod_5_raises(self, monkeypatch, p, roots):
+        # the splitting is whatever sqrt_mod finds, cross-checked for
+        # Fibonacci by p mod 5 (D = 5 is a square mod p iff p = ±1 mod 5)
+        monkeypatch.setattr(theorem, "sqrt_mod", lambda a, q: roots)
+        with pytest.raises(InternalInvariantViolation, match="p mod 5"):
+            eigen_data(p)
 
 
 class TestEigenData:
@@ -417,6 +427,63 @@ class TestVerifyLucas:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateDiscriminant):
             verify_main(7, RecurrenceParams(7, 1))
+
+    def test_unit_q_literal_failures(self):
+        # for Q = +-1 and |P| <= 4 the literal reading fails at exactly these
+        # (P, Q, p, m), always as powerset alone; every zero-free orbit with
+        # the order-m subgroup as its value set has a period other than m,
+        # so the strict reading (|value set| = period) removes all of them
+        expected = {(P, Q, p, m) for p, m, pairs in [
+            (5, 4, [(1, 1), (-4, 1), (2, -1), (-2, -1), (3, -1), (-3, -1)]),
+            (13, 12, [(1, -1), (-1, -1), (2, -1), (-2, -1), (4, -1), (-4, -1)]),
+            (17, 16, [(1, -1), (-1, -1)]),
+            (17, 8, [(4, -1), (-4, -1)]),
+        ] for P, Q in pairs}
+        found = set()
+        for P in (1, -1, 2, -2, 3, -3, 4, -4):
+            for Q in (1, -1):
+                params = RecurrenceParams(P, Q)
+                for p in primes_upto(1000)[1:]:
+                    if degeneracy(p, params) is not None:
+                        continue
+                    for m, t in verify_main(p, params)["conditions"].items():
+                        if not uniform(t):
+                            assert (t["powerset"], t["period"], t["order"]) == (
+                                True, False, False), (P, Q, p, m)
+                            found.add((P, Q, p, int(m)))
+        assert found == expected
+        for P, Q, p, m in expected:
+            subgroup = power_subgroup(p, (p - 1) // m)
+            periods = [len(terms) for terms in naive_orbits(p, P, Q)
+                       if 0 not in terms and set(terms) == subgroup]
+            assert periods and m not in periods, (P, Q, p, m)
+
+    def test_period_order_disagreement_from_census(self):
+        # (2) and (3) disagree only at a split p, at m = lcm(l, l') when that
+        # is neither eigenvalue order and the lines off the eigenlines form
+        # two orbits or more; an inert p never has l | p-1 (phi^p = phi' != phi)
+        records = 0
+        for P in (1, -1, 2, -2, 3, -3, 4, -4):
+            for Q in (1, -1, 2, -2, 3, -3, 4, -4):
+                params = RecurrenceParams(P, Q)
+                for p in primes_upto(300)[1:]:
+                    if degeneracy(p, params) is not None:
+                        continue
+                    records += 1
+                    conditions = verify_main(p, params)["conditions"]
+                    disagree = {int(m) for m, t in conditions.items()
+                                if t["period"] != t["order"]}
+                    ed = eigen_data(p, params)
+                    predicted = set()
+                    if ed.splitting == "split":
+                        lcm = math.lcm(ed.l, ed.l_prime)
+                        e = multiplicative_order(ed.phi * mod_inv(ed.phi_prime, p), p)
+                        if lcm not in (ed.l, ed.l_prime) and (p - 1) // e >= 2:
+                            predicted = {lcm}
+                    else:
+                        assert (p - 1) % ed.l != 0, (P, Q, p)
+                    assert disagree == predicted, (P, Q, p)
+        assert records == 3588
 
 
 class TestDegeneracy:
