@@ -6,10 +6,11 @@ Subcommands:
   enumerate N          zero-free orbit representatives mod N
   period N A1 A2       minimal period / value set of one sequence
 
-`--json` emits canonical JSON-lines (one record per line, sorted keys, no
-whitespace) so output is byte-reproducible; `--jobs K` fans per-prime work
-out to K processes.  Either way each record is written as soon as it is
-computed, in ascending p, so an interrupted sweep keeps its finished primes.
+Every answer is one record.  `--json` prints it as canonical JSON-lines (sorted
+keys, no whitespace) so output is byte-reproducible; without it the text is a
+rendering of the same record.  `--jobs K` fans per-prime work out to K
+processes; either way each record is written as soon as it is computed, in
+ascending p, so an interrupted sweep keeps its finished primes.
 
 Exit codes: 0 success or findings-only, 1 a proven-theorem violation was
 detected, 2 usage or validation error, or an --out FILE that cannot be
@@ -84,6 +85,59 @@ def _orbit_payloads(reports) -> list[dict]:
     ]
 
 
+def _emit(args, kind: str, payload: dict) -> int:
+    """Print one command's record: canonical JSON under --json, else as text."""
+    record = make_record(kind, payload, args.params, theorem_cap())
+    if args.json:
+        print(dumps_record(record))
+    else:
+        _print_human(record)
+    return 0
+
+
+def _orbit_text(orbit: dict) -> str:
+    return f"seed {tuple(orbit['seed'])}  period {orbit['period']}  values {orbit['values']}"
+
+
+def _print_human(record: dict) -> None:
+    """The text form of any record; it reads nothing but the record."""
+    kind, payload = record["kind"], record["payload"]
+    if kind == "period":
+        flag = "zero-free" if payload["star"] else "hits zero"
+        print(f"seed {tuple(payload['seed'])} mod {payload['N']}: period {payload['period']}, "
+              f"{flag}, values {payload['values']}")
+    elif kind == "enumerate":
+        if not payload["orbits"]:
+            print(f"N = {payload['N']}: no zero-free orbits")
+        for orbit in payload["orbits"]:
+            print(f"N = {payload['N']}: {_orbit_text(orbit)}")
+    elif kind == "analyze" and payload["splitting"] == "special":
+        print(f"p = {payload['p']} is a special prime for the Fibonacci recurrence")
+        for orbit in payload["orbits"]:
+            print(f"  {_orbit_text(orbit)}")
+    elif kind == "analyze":
+        print(f"p = {payload['p']}: {payload['splitting']}")
+        print(f"  phi = {payload['phi']}, phi' = {payload['phi_prime']}")
+        print(f"  l = {payload['l']}, l' = {payload['l_prime']}, "
+              f"M0 = {payload['M0']}, M1 = {payload['M1']}")
+        print(f"  matrix order = {payload['mat_order']}")
+    elif kind == "skip":
+        print(f"p = {payload['p']}: skipped ({payload['reason']})")
+    elif kind == "verify_complementary":
+        true_ms = [m for m, e in payload["entries"].items() if e["period"]]
+        print(f"p = {payload['p']}: equivalence_23 = {payload['equivalence_23']}, "
+              f"star periods at m in {true_ms}")
+    else:
+        true_ms = [m for m, t in payload["conditions"].items() if t["period"]]
+        line = (f"p = {payload['p']}: consistent = {payload['consistent']}, "
+                f"star periods at m in {true_ms}")
+        if not payload["consistent"]:
+            bad = [m for m, t in payload["conditions"].items()
+                   if not t["powerset"] == t["period"] == t["order"]]
+            line += f", non-uniform at m in {bad}"
+        print(line)
+
+
 # ---------------------------------------------------------------- analyze
 
 
@@ -91,23 +145,12 @@ def cmd_analyze(args) -> int:
     params = args.params
     p = args.p
     if params.is_fibonacci and p in SPECIAL_PRIMES:
-        reports = enumerate_star(p)
-        payload = {"p": p, "splitting": "special", "orbits": _orbit_payloads(reports)}
-        record = make_record("analyze", payload, params, theorem_cap())
-        if args.json:
-            print(dumps_record(record))
-        else:
-            print(f"p = {p} is a special prime for the Fibonacci recurrence")
-            for orbit in payload["orbits"]:
-                print(f"  seed {tuple(orbit['seed'])}  period {orbit['period']}  "
-                      f"values {orbit['values']}")
-        return 0
+        orbits = _orbit_payloads(enumerate_star(p))
+        return _emit(args, "analyze", {"p": p, "splitting": "special", "orbits": orbits})
     ed = eigen_data(p, params)
-    if ed.splitting == "split":
-        phi, phi_prime = ed.phi, ed.phi_prime
-    else:
-        phi = [ed.phi.c0, ed.phi.c1]
-        phi_prime = [ed.phi_prime.c0, ed.phi_prime.c1]
+    phi, phi_prime = ed.phi, ed.phi_prime
+    if ed.splitting == "inert":
+        phi, phi_prime = [phi.c0, phi.c1], [phi_prime.c0, phi_prime.c1]
     payload = {
         "p": p,
         "splitting": ed.splitting,
@@ -119,15 +162,7 @@ def cmd_analyze(args) -> int:
         "M1": ed.M1,
         "mat_order": mat_order(params, p),
     }
-    record = make_record("analyze", payload, params, theorem_cap())
-    if args.json:
-        print(dumps_record(record))
-    else:
-        print(f"p = {p}: {ed.splitting}")
-        print(f"  phi = {phi}, phi' = {phi_prime}")
-        print(f"  l = {ed.l}, l' = {ed.l_prime}, M0 = {ed.M0}, M1 = {ed.M1}")
-        print(f"  matrix order = {payload['mat_order']}")
-    return 0
+    return _emit(args, "analyze", payload)
 
 
 # ----------------------------------------------------------------- verify
@@ -170,24 +205,20 @@ def _load_cached(path: str, kind: str, params: RecurrenceParams) -> dict[int, di
 
 def cmd_verify(args) -> int:
     cap = theorem_cap()
-    if args.start > args.stop:
-        print("error: empty range", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    if args.stop > cap:
-        print(f"error: range end {args.stop} exceeds cap {cap}", file=sys.stderr)
-        return 2
     params = args.params
+    # main prints each usage error and returns 2
+    if args.start > args.stop:
+        raise ValueError("empty range")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    if args.stop > cap:
+        raise ValueError(f"range end {args.stop} exceeds cap {cap}")
+    if args.complementary and not params.is_fibonacci:
+        raise ValueError("--complementary applies to the Fibonacci recurrence only")
     if args.complementary:
         kind = "verify_complementary"
     else:
         kind = "verify_main" if params.is_fibonacci else "verify_lucas"
-    if args.complementary and not params.is_fibonacci:
-        print("error: --complementary applies to the Fibonacci recurrence only",
-              file=sys.stderr)
-        return 2
     primes = [p for p in range(max(args.start, 2), args.stop + 1) if is_prime(p)]
     cached: dict[int, dict] = {}
     if args.out and not args.force:
@@ -214,7 +245,7 @@ def cmd_verify(args) -> int:
             if args.json:
                 print(line)
             elif out_fh is None:
-                _print_verify_human(record)
+                _print_human(record)
             violations += _is_violation(record)
             findings += _is_finding(record)
     if findings:
@@ -241,64 +272,22 @@ def _is_finding(record: dict) -> bool:
     return False
 
 
-def _print_verify_human(record: dict) -> None:
-    kind = record["kind"]
-    payload = record["payload"]
-    p = payload["p"]
-    if kind == "skip":
-        print(f"p = {p}: skipped ({payload['reason']})")
-        return
-    if kind == "verify_complementary":
-        true_ms = [m for m, e in payload["entries"].items() if e["period"]]
-        print(f"p = {p}: equivalence_23 = {payload['equivalence_23']}, "
-              f"star periods at m in {true_ms}")
-        return
-    true_ms = [m for m, t in payload["conditions"].items() if t["period"]]
-    line = f"p = {p}: consistent = {payload['consistent']}, star periods at m in {true_ms}"
-    if not payload["consistent"]:
-        bad = [m for m, t in payload["conditions"].items()
-               if not t["powerset"] == t["period"] == t["order"]]
-        line += f", non-uniform at m in {bad}"
-    print(line)
-
-
 # -------------------------------------------------------------- enumerate
 
 
 def cmd_enumerate(args) -> int:
-    params = args.params
-    reports = enumerate_star(args.N, params)
-    payload = {"N": args.N, "orbits": _orbit_payloads(reports)}
-    record = make_record("enumerate", payload, params, theorem_cap())
-    if args.json:
-        print(dumps_record(record))
-    else:
-        if not reports:
-            print(f"N = {args.N}: no zero-free orbits")
-        for orbit in payload["orbits"]:
-            print(f"N = {args.N}: seed {tuple(orbit['seed'])}  period {orbit['period']}  "
-                  f"values {orbit['values']}")
-    return 0
+    orbits = _orbit_payloads(enumerate_star(args.N, args.params))
+    return _emit(args, "enumerate", {"N": args.N, "orbits": orbits})
 
 
 # ----------------------------------------------------------------- period
 
 
 def cmd_period(args) -> int:
-    params = args.params
-    seq = SequenceId(args.N, args.a1, args.a2, params)
-    m = minimal_period(seq)
-    star = is_star(seq)
-    values = sorted(value_set(seq))
-    payload = {"N": args.N, "seed": [seq.a1, seq.a2], "period": m, "star": star,
-               "values": values}
-    record = make_record("period", payload, params, theorem_cap())
-    if args.json:
-        print(dumps_record(record))
-    else:
-        flag = "zero-free" if star else "hits zero"
-        print(f"seed ({seq.a1}, {seq.a2}) mod {args.N}: period {m}, {flag}, values {values}")
-    return 0
+    seq = SequenceId(args.N, args.a1, args.a2, args.params)
+    payload = {"N": args.N, "seed": [seq.a1, seq.a2], "period": minimal_period(seq),
+               "star": is_star(seq), "values": sorted(value_set(seq))}
+    return _emit(args, "period", payload)
 
 
 # ------------------------------------------------------------------ main

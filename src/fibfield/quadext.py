@@ -33,7 +33,7 @@ class QuadContext(_QuadContextFields):
 
     def __new__(cls, p: int, P: int, Q: int):
         if p < 3 or not is_prime(p):
-            raise BadPrime(f"p = {p} must be an odd prime")
+            raise BadPrime(f"p = {p} is not an odd prime")
         if legendre(P * P - 4 * Q, p) != -1:
             raise SplitContext(f"x^2 - {P % p}x + {Q % p} splits mod {p}; not a field")
         return super().__new__(cls, p, P % p, Q % p)

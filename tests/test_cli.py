@@ -186,10 +186,18 @@ class TestVerify:
         assert not rec["payload"]["consistent"]
 
     def test_empty_range(self):
-        assert run_cli("verify", "10", "9").returncode == 2
+        r = run_cli("verify", "10", "9")
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: empty range\n")
 
     def test_over_cap(self):
-        assert run_cli("verify", "3", "5000").returncode == 2
+        r = run_cli("verify", "3", "5000")
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: range end 5000 exceeds cap 4096\n")
+
+    def test_complementary_with_lucas_rejected(self):
+        r = run_cli("verify", "3", "5", "--complementary", "--lucas", "3,1")
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: --complementary applies to the Fibonacci recurrence only\n")
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_rejected(self, jobs):
@@ -359,6 +367,39 @@ class TestVerify:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "P,Q" in err and "_parse_lucas" not in err
+
+
+HUMAN_OUTPUT = [
+    (["analyze", "11"], "p = 11: split\n"
+                        "  phi = 8, phi' = 4\n"
+                        "  l = 10, l' = 5, M0 = 5, M1 = 10\n"
+                        "  matrix order = 10\n"),
+    (["analyze", "7"], "p = 7: inert\n"
+                       "  phi = [0, 1], phi' = [1, 6]\n"
+                       "  l = 16, l' = 16, M0 = 16, M1 = 16\n"
+                       "  matrix order = 16\n"),
+    (["analyze", "5"], "p = 5 is a special prime for the Fibonacci recurrence\n"
+                       "  seed (1, 3)  period 4  values [1, 2, 3, 4]\n"),
+    (["analyze", "2"], "p = 2 is a special prime for the Fibonacci recurrence\n"),
+    (["enumerate", "5"], "N = 5: seed (1, 3)  period 4  values [1, 2, 3, 4]\n"),
+    (["enumerate", "2"], "N = 2: no zero-free orbits\n"),
+    (["enumerate", "10"], "N = 10: seed (1, 3)  period 12  values [1, 2, 3, 4, 6, 7, 8, 9]\n"
+                          "N = 10: seed (2, 6)  period 4  values [2, 4, 6, 8]\n"),
+    (["period", "11", "1", "4"], "seed (1, 4) mod 11: period 5, zero-free, "
+                                 "values [1, 3, 4, 5, 9]\n"),
+    (["period", "7", "1", "1"], "seed (1, 1) mod 7: period 16, hits zero, "
+                                "values [0, 1, 2, 3, 4, 5, 6]\n"),
+    (["period", "11", "0", "0"], "seed (0, 0) mod 11: period 1, hits zero, values [0]\n"),
+]
+
+
+class TestHumanOutput:
+    # the human text is a rendering of the record that --json prints
+    @pytest.mark.parametrize("argv, stdout", HUMAN_OUTPUT,
+                             ids=["-".join(argv) for argv, _ in HUMAN_OUTPUT])
+    def test_exact_stdout(self, capsys, argv, stdout):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (stdout, "")
 
 
 class TestColdStart:

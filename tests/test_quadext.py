@@ -182,7 +182,7 @@ class TestContext:
                     QuadContext(p, 1, -1)
 
     def test_rejects_bad_prime(self):
-        with pytest.raises(BadPrime, match="^p = 8 must be an odd prime$"):
+        with pytest.raises(BadPrime, match="^p = 8 is not an odd prime$"):
             QuadContext(8, 1, 1)
-        with pytest.raises(BadPrime, match="^p = 2 must be an odd prime$"):
+        with pytest.raises(BadPrime, match="^p = 2 is not an odd prime$"):
             QuadContext(2, 1, 1)

@@ -312,6 +312,25 @@ class TestCensus:
                 predicted = {ed.l} if (p + 1) // e0 >= 2 else set()
             assert census(ed) == predicted, p
 
+    def test_square_discriminant_family(self):
+        # D = P^2 - 4Q a nonzero square puts both roots in Z, so every
+        # admissible p splits, and the only subgroup value sets of zero-free
+        # orbits are the eigenlines' <phi> and <phi'>
+        pairs = [(P, Q) for P in range(-4, 5) for Q in range(-4, 5)
+                 if Q and P * P - 4 * Q > 0 and math.isqrt(P * P - 4 * Q) ** 2 == P * P - 4 * Q]
+        checked = 0
+        for P, Q in pairs:
+            params = RecurrenceParams(P, Q)
+            for p in primes_upto(1000)[1:]:
+                if degeneracy(p, params) is not None:
+                    continue
+                ed = eigen_data(p, params)
+                assert ed.splitting == "split", (P, Q, p)
+                assert fibseq.star_summary(p, params)[1] <= {ed.l, ed.l_prime}, (P, Q, p)
+                checked += 1
+        # the two pairs with P = 0 are skipped at every p
+        assert (len(pairs), checked) == (12, 1658)
+
     @pytest.mark.parametrize("sweep", [verify_main, verify_complementary])
     def test_extra_period_raises(self, monkeypatch, sweep):
         # a walk that reports one period too many disagrees with the census

@@ -41,7 +41,7 @@ def test_sequence_id_reduces_seed():
 
 
 def test_quad_context_rejects_odd_composite():
-    with pytest.raises(BadPrime, match="p = 9 must be an odd prime"):
+    with pytest.raises(BadPrime, match="p = 9 is not an odd prime"):
         QuadContext(9, 1, -1)
 
 
