@@ -23,7 +23,8 @@ import sys
 # Ceiling for theorem-level sweeps and for any enumerated modulus (O(N^2) pairs).
 DEFAULT_THEOREM_CAP = 4096
 
-# All public inputs must fit in signed 62-bit so products stay exact.
+# Public inputs must lie below 2^62: the cap bounds the inputs of
+# modarith.is_prime and modarith.factorize.
 INT_WIDTH_CAP = 1 << 62
 
 # Kept in every record's config block for format stability (schema_version 1);

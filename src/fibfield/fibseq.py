@@ -83,32 +83,59 @@ def mat_pow(x: Mat2, e: int) -> Mat2:
     return acc
 
 
+def _factored_product(counts: dict[int, int], pieces: list[tuple[int, int]]) -> Factorization:
+    """The factorization of prod(q^j for q, j in counts) * prod(k^times for
+    k, times in pieces), each k factored on its own: the product may pass the
+    width cap.  counts must map primes to exponents; it is updated in place."""
+    for k, times in pieces:
+        for q, j in factorize(k).factors:
+            counts[q] = counts.get(q, 0) + j * times
+    bound = 1
+    for q, j in counts.items():
+        bound *= q**j
+    return Factorization(bound, tuple(sorted(counts.items())))
+
+
 def _gl2_exponent_bound(N: int) -> Factorization:
     """A factored multiple of the order of any element of GL2(Z/NZ).
 
     Composed per prime power l^e || N from l^(4e-3) * (l-1) * (l^2-1)
-    (the order of GL2(Z/l^e)); for prime N this is N(N-1)(N^2-1).
+    (the order of GL2(Z/l^e)).
     """
     counts: dict[int, int] = {}
+    pieces: list[tuple[int, int]] = []
     for ell, e in factorize(N).factors:
-        # (l-1)(l^2-1) = (l-1)^2 (l+1), factored piecewise: l^2 - 1 may pass the width cap
-        for k, times in ((ell - 1, 2), (ell + 1, 1)):
-            for q, j in factorize(k).factors:
-                counts[q] = counts.get(q, 0) + j * times
-        counts[ell] = counts.get(ell, 0) + 4 * e - 3
-    bound = 1
-    for p, e in counts.items():
-        bound *= p**e
-    return Factorization(bound, tuple(sorted(counts.items())))
+        counts[ell] = 4 * e - 3
+        # (l-1)(l^2-1) = (l-1)^2 (l+1)
+        pieces += [(ell - 1, 2), (ell + 1, 1)]
+    return _factored_product(counts, pieces)
 
 
 def mat_order(params: RecurrenceParams, N: int) -> int:
-    """Least t >= 1 with B^t = Id (the Pisano-type period for Fibonacci)."""
+    """Least t >= 1 with B^t = Id (the Pisano-type period for Fibonacci).
+
+    For prime N the primes are stripped from a multiple that the roots of
+    x^2 - Px + Q, the eigenvalues of B, give through D = P^2 - 4Q mod N
+    alone (Wall's bounds, for Fibonacci):
+    - N | D: one root lam, a unit, so B = lam(Id + X) with X^2 = 0, and
+      lam^(N-1) = 1 and (Id + X)^N = Id + NX = Id give an order dividing N(N-1);
+    - otherwise two distinct roots in F_N or F_{N^2}, so B is diagonalizable
+      over F_{N^2} and its order divides |F_{N^2}^x| = N^2 - 1 = (N-1)(N+1).
+    Composite N strips from the order of GL2(Z/N), `_gl2_exponent_bound`.
+    Either way `least_dividing` raises BadGroupOrder unless B to the bound
+    is Id.
+    """
     _check_modulus(N)
     _require_invertible(params, N)
+    if not is_prime(N):
+        bound = _gl2_exponent_bound(N)
+    elif params.discriminant % N == 0:
+        bound = _factored_product({N: 1}, [(N - 1, 1)])
+    else:
+        bound = _factored_product({}, [(N - 1, 1), (N + 1, 1)])
     B = companion_matrix(params, N)
     ident = Mat2.identity(N)
-    return least_dividing(_gl2_exponent_bound(N), lambda t: mat_pow(B, t) == ident)
+    return least_dividing(bound, lambda t: mat_pow(B, t) == ident)
 
 
 class _SequenceIdFields(NamedTuple):

@@ -1,8 +1,12 @@
 """Shared naive oracles, independent of the library's fast paths,
-`orbit_sizes`, which reads the library's pair walker over every pair, and
-`check_eigen_invariants`, the proof-ingredient self-checks of `eigen_data`."""
+`orbit_sizes`, which reads the library's pair walker over every pair,
+`check_eigen_invariants`, the proof-ingredient self-checks of `eigen_data`,
+and `reference_pool`, the recorded point-query answers of perfbench."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from fibfield.theorem import EigenData, eigen_data
 # (zero-free orbits of period 2(p+1) covering all of F_p^x) although the
 # period and order conditions fail there: both primes are inert.
 KNOWN_NONUNIFORM = {13: 12, 17: 16}
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def naive_order(a: int, n: int) -> int:
@@ -158,3 +164,11 @@ def primes_upto(n: int) -> list[int]:
 @pytest.fixture(scope="session")
 def small_primes() -> list[int]:
     return primes_upto(200)
+
+
+def reference_pool() -> list:
+    """perfbench's point-query pool, read-only: [argv, sha256[:16] of the
+    answer's stdout line] per query, `analyze p` (p < 2^31) and
+    `period N a1 a2` (N < 10^5)."""
+    with open(REFERENCE) as f:
+        return json.load(f)["queries"]

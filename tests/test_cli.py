@@ -11,7 +11,7 @@ from fibfield import cli, fibseq
 from fibfield.errors import InternalInvariantViolation
 from fibfield.theorem import verify_main
 
-from conftest import check_eigen_invariants
+from conftest import check_eigen_invariants, reference_pool
 
 PKG = [sys.executable, "-m", "fibfield"]
 
@@ -128,6 +128,17 @@ class TestPeriod:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", f"error: period {period} exceeds the cap of 16777216 terms\n")
+
+
+class TestReferencePool:
+    def test_replay_every_tenth_query(self, capsys):
+        # the benchmark checks every answer against these digests; replaying a
+        # tenth of the pool here shows a drift in analyze or period output,
+        # up to p near 2^31, without the benchmark
+        for argv, digest in reference_pool()[::10]:
+            assert cli.main(argv) == 0, argv
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
 
 
 class TestModulus:

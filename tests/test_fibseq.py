@@ -44,6 +44,7 @@ from conftest import (
     orbit_sizes,
     power_subgroup,
     primes_upto,
+    reference_pool,
 )
 
 
@@ -114,6 +115,40 @@ class TestMatOrder:
                 if math.gcd(params.Q, N) != 1:
                     continue
                 assert mat_order(params, N) == naive_mat_order(params, N)
+        # prime N: N = 2, N | D at N = 5 for (1,-1) and (3,1) and at every N for
+        # D = 0, (2,1) and (6,9); D = 9 and 4 are squares, so (1,-2) and (4,3) split
+        for params in (FIBONACCI, RecurrenceParams(3, 1), RecurrenceParams(1, -2),
+                       RecurrenceParams(2, 1), RecurrenceParams(6, 9), RecurrenceParams(4, 3)):
+            for N in primes_upto(300):
+                if params.Q % N:
+                    assert mat_order(params, N) == naive_mat_order(params, N), (params, N)
+
+    def test_prime_bound_skips_gl2_order(self, monkeypatch):
+        # the branch follows the primality of N: only composite N reaches the GL2 bound
+        def no_gl2_bound(N):
+            raise RuntimeError(f"GL2 bound taken at N = {N}")
+
+        monkeypatch.setattr(fibseq, "_gl2_exponent_bound", no_gl2_bound)
+        for N in (2, 5, 7, 11, 101):
+            assert mat_order(FIBONACCI, N) == naive_mat_order(FIBONACCI, N)
+        with pytest.raises(RuntimeError, match="GL2 bound taken at N = 10"):
+            mat_order(FIBONACCI, 10)
+
+    def test_eigen_orders_on_pool_primes(self):
+        # at the sizes the benchmark serves, the order of B must be lcm(l, l')
+        # from eigen_data's independent algebra (F_p or F_{p^2} arithmetic);
+        # the ten largest pool primes of each Fibonacci splitting (p = +-1 mod 5 split)
+        primes = sorted({int(argv[1]) for argv, _ in reference_pool() if argv[0] == "analyze"})
+        split = [p for p in primes if p % 5 in (1, 4)][-10:]
+        inert = [p for p in primes if p % 5 in (2, 3)][-10:]
+        chosen = split + inert
+        cases = [(FIBONACCI, p) for p in chosen] + [(RecurrenceParams(3, 5), p) for p in chosen[::4]]
+        splittings = set()
+        for params, p in cases:
+            ed = eigen_data(p, params)
+            splittings.add(ed.splitting)
+            assert mat_order(params, p) == math.lcm(ed.l, ed.l_prime), (params, p)
+        assert splittings == {"split", "inert"}
 
 
 def trial_factors(n):
