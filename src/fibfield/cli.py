@@ -148,14 +148,11 @@ def cmd_analyze(args) -> int:
         orbits = _orbit_payloads(enumerate_star(p))
         return _emit(args, "analyze", {"p": p, "splitting": "special", "orbits": orbits})
     ed = eigen_data(p, params)
-    phi, phi_prime = ed.phi, ed.phi_prime
-    if ed.splitting == "inert":
-        phi, phi_prime = [phi.c0, phi.c1], [phi_prime.c0, phi_prime.c1]
     payload = {
         "p": p,
         "splitting": ed.splitting,
-        "phi": phi,
-        "phi_prime": phi_prime,
+        "phi": ed.phi,
+        "phi_prime": ed.phi_prime,
         "l": ed.l,
         "l_prime": ed.l_prime,
         "M0": ed.M0,
@@ -303,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--lucas", type=_parse_lucas, dest="params", default=FIBONACCI,
-                       metavar="P,Q", help="recurrence a_n = P a_{n-1} - Q a_{n-2}")
+                       metavar="P,Q", help="recurrence a_n = P a_{n-1} - Q a_{n-2}; "
+                       "a negative P needs the = form, as in --lucas=-3,5")
         p.add_argument("--json", action="store_true", help="emit canonical JSON lines")
 
     p_an = sub.add_parser("analyze", help="eigenvalue orders for one prime")

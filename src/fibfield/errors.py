@@ -6,8 +6,8 @@ class FibfieldError(Exception):
 
 
 class NotInvertible(FibfieldError):
-    """Element is not a unit: a residue with gcd(a, n) != 1, a companion
-    matrix with gcd(Q, N) != 1, or the zero element of F_{p^2}."""
+    """Element is not a unit: a residue with gcd(a, n) != 1, or a companion
+    matrix with gcd(Q, N) != 1."""
 
 
 class BadGroupOrder(FibfieldError):
@@ -24,13 +24,7 @@ class CapExceeded(FibfieldError):
 
 
 class ModulusMismatch(FibfieldError):
-    """Binary operation on matrices over different moduli, or on quadratic
-    elements from different contexts."""
-
-
-class SplitContext(FibfieldError):
-    """x^2 - Px + Q has a root mod p, so F_p[x]/(x^2 - Px + Q) is not a
-    field; QuadContext refuses it when it is built."""
+    """Binary operation on matrices over different moduli."""
 
 
 class DegenerateDiscriminant(FibfieldError):

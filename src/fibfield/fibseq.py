@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .config import DEFAULT_THEOREM_CAP, theorem_cap
 from .errors import BadPrime, CapExceeded, InternalInvariantViolation, ModulusMismatch, NotInvertible
-from .modarith import Factorization, factorize, is_prime, least_dividing
+from .modarith import Factorization, factorize, is_prime, least_dividing, legendre, multiplicative_order
 
 
 class RecurrenceParams(NamedTuple):
@@ -119,20 +119,26 @@ def mat_order(params: RecurrenceParams, N: int) -> int:
     alone (Wall's bounds, for Fibonacci):
     - N | D: one root lam, a unit, so B = lam(Id + X) with X^2 = 0, and
       lam^(N-1) = 1 and (Id + X)^N = Id + NX = Id give an order dividing N(N-1);
-    - otherwise two distinct roots in F_N or F_{N^2}, so B is diagonalizable
-      over F_{N^2} and its order divides |F_{N^2}^x| = N^2 - 1 = (N-1)(N+1).
+    - N odd and D a nonzero square: two distinct roots in F_N^x, so B is
+      diagonalizable over F_N and its order divides N - 1;
+    - otherwise (N = 2 included, where x^2 + x + 1 is irreducible) F_N[B] is
+      F_{N^2}, whose Frobenius takes the root B to the other root P - B, so
+      B^(N+1) = B(P - B) = Q*Id and the order divides ord_N(Q) * (N+1).
     Composite N strips from the order of GL2(Z/N), `_gl2_exponent_bound`.
-    Either way `least_dividing` raises BadGroupOrder unless B to the bound
-    is Id.
+    In every case `least_dividing` raises BadGroupOrder unless B to the
+    bound is Id.
     """
     _check_modulus(N)
     _require_invertible(params, N)
+    D = params.discriminant % N
     if not is_prime(N):
         bound = _gl2_exponent_bound(N)
-    elif params.discriminant % N == 0:
+    elif D == 0:
         bound = _factored_product({N: 1}, [(N - 1, 1)])
+    elif N > 2 and legendre(D, N) == 1:
+        bound = factorize(N - 1)
     else:
-        bound = _factored_product({}, [(N - 1, 1), (N + 1, 1)])
+        bound = _factored_product({}, [(multiplicative_order(params.Q, N), 1), (N + 1, 1)])
     B = companion_matrix(params, N)
     ident = Mat2.identity(N)
     return least_dividing(bound, lambda t: mat_pow(B, t) == ident)

@@ -1,5 +1,9 @@
 """Eigenvalue analysis of companion matrices and exhaustive verification.
 
+eigen_data needs no F_{p^2} arithmetic: at a split p the eigenvalues are
+residues, and at an inert p F_{p^2} is F_p[B] with the eigenvalue phi = B,
+so its order is the order of the companion matrix, fibseq.mat_order.
+
 verify_main sweeps every divisor m of p-1 and checks that the three
 conditions of the main equivalence (value set equals a power subgroup,
 zero-free sequence of minimal period m, split prime with an eigenvalue of
@@ -31,7 +35,7 @@ import math
 from typing import NamedTuple
 
 from .errors import BadPrime, DegenerateDiscriminant, InternalInvariantViolation
-from .fibseq import FIBONACCI, RecurrenceParams, star_summary
+from .fibseq import FIBONACCI, RecurrenceParams, mat_order, star_summary
 from .modarith import (
     divisors,
     factorize,
@@ -40,7 +44,6 @@ from .modarith import (
     multiplicative_order,
     sqrt_mod,
 )
-from .quadext import QuadContext, QuadElement, conjugate, ext_order
 
 SPECIAL_PRIMES = (2, 5)
 
@@ -76,15 +79,17 @@ def _check_prime(p: int, params: RecurrenceParams, sweep: bool = False) -> None:
 class EigenData(NamedTuple):
     """Eigenvalues of the companion matrix and their multiplicative orders.
 
-    In the split case phi and phi_prime are residues mod p; in the inert
-    case they are conjugate elements of F_{p^2}.  l and l_prime are the
-    orders in F_{p^2}^x (which coincide with the F_p^x orders when split).
+    In the split case phi and phi_prime are residues mod p.  In the inert
+    case F_{p^2} is F_p[B], and they are the coordinates [c0, c1] of the
+    conjugate roots c0 + c1*B: phi = B is [0, 1] and phi' = P - B is
+    [P mod p, p-1].  l and l_prime are the orders in F_{p^2}^x (which
+    coincide with the F_p^x orders when split).
     """
 
     p: int
     splitting: str
-    phi: int | QuadElement
-    phi_prime: int | QuadElement
+    phi: int | list[int]
+    phi_prime: int | list[int]
     l: int
     l_prime: int
 
@@ -112,10 +117,10 @@ def eigen_data(p: int, params: RecurrenceParams = FIBONACCI) -> EigenData:
         l = multiplicative_order(phi, p)
         l_prime = multiplicative_order(phi_prime, p)
         return EigenData(p, "split", phi, phi_prime, l, l_prime)
-    phi = QuadContext(p, params.P, params.Q).lam()
-    # phi' = phi^p by Frobenius, and gcd(p, p^2 - 1) = 1, so l' = l
-    l = ext_order(phi)
-    return EigenData(p, "inert", phi, conjugate(phi), l, l)
+    # phi = B in F_p[B], so l = ord(B); phi' = phi^p by Frobenius, and
+    # gcd(p, p^2 - 1) = 1, so l' = l
+    l = mat_order(params, p)
+    return EigenData(p, "inert", [0, 1], [params.P % p, p - 1], l, l)
 
 
 def census(ed: EigenData) -> set[int]:

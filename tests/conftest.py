@@ -1,17 +1,21 @@
 """Shared naive oracles, independent of the library's fast paths,
-`orbit_sizes`, which reads the library's pair walker over every pair,
-`check_eigen_invariants`, the proof-ingredient self-checks of `eigen_data`,
-and `reference_pool`, the recorded point-query answers of perfbench."""
+the F_{p^2} algebra `QuadContext` with `ext_order`, an eigenvalue order
+that shares nothing with `mat_order`, `orbit_sizes`, which reads the
+library's pair walker over every pair, `check_eigen_invariants`, the
+proof-ingredient self-checks of `eigen_data`, and `reference_pool`, the
+recorded point-query answers of perfbench."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
+from fibfield.errors import BadPrime, ModulusMismatch, NotInvertible
 from fibfield.fibseq import FIBONACCI, RecurrenceParams, _orbits, mat_order
-from fibfield.quadext import ext_order, q_mul
+from fibfield.modarith import factorize, is_prime, least_dividing, legendre, multiplicative_order
 from fibfield.theorem import EigenData, eigen_data
 
 # The literal value-set condition is satisfiable at m = p-1 for p = 13 and 17
@@ -113,13 +117,118 @@ def naive_fib_eigen_orders(p: int) -> tuple[int, int]:
     )
 
 
+class _QuadContextFields(NamedTuple):
+    p: int
+    P: int
+    Q: int
+
+
+class QuadContext(_QuadContextFields):
+    """The field F_p[x]/(x^2 - Px + Q), isomorphic to F_{p^2}: lam has
+    trace P and norm Q.  Elements are c0 + c1*lam in the basis {1, lam}, so
+    the root lam is always (0, 1).
+
+    Raises BadPrime unless p is an odd prime, and ValueError unless
+    P^2 - 4Q is a non-residue mod p (the inert case), so every context is a
+    field.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, P: int, Q: int):
+        if p < 3 or not is_prime(p):
+            raise BadPrime(f"p = {p} is not an odd prime")
+        if legendre(P * P - 4 * Q, p) != -1:
+            raise ValueError(f"x^2 - {P % p}x + {Q % p} splits mod {p}; not a field")
+        return super().__new__(cls, p, P % p, Q % p)
+
+    def element(self, c0: int, c1: int = 0) -> "QuadElement":
+        return QuadElement(c0 % self.p, c1 % self.p, self)
+
+    def one(self) -> "QuadElement":
+        return self.element(1)
+
+    def lam(self) -> "QuadElement":
+        return self.element(0, 1)
+
+
+class QuadElement(NamedTuple):
+    """c0 + c1*lam with lam^2 = P*lam - Q; components reduced mod p."""
+
+    c0: int
+    c1: int
+    ctx: QuadContext
+
+    def is_zero(self) -> bool:
+        return self.c0 == 0 and self.c1 == 0
+
+
+def q_mul(x: QuadElement, y: QuadElement) -> QuadElement:
+    """Product reduced by lam^2 = P*lam - Q."""
+    if x.ctx != y.ctx:
+        raise ModulusMismatch(f"{x.ctx} vs {y.ctx}")
+    p, P, Q = x.ctx
+    cross = x.c1 * y.c1
+    c0 = (x.c0 * y.c0 - Q * cross) % p
+    c1 = (x.c0 * y.c1 + x.c1 * y.c0 + P * cross) % p
+    return QuadElement(c0, c1, x.ctx)
+
+
+def q_pow(x: QuadElement, e: int) -> QuadElement:
+    """x^e by square-and-multiply; e = 0 gives 1."""
+    if e < 0:
+        raise ValueError("exponent must be non-negative")
+    acc = x.ctx.one()
+    base = x
+    while e:
+        if e & 1:
+            acc = q_mul(acc, base)
+        base = q_mul(base, base)
+        e >>= 1
+    return acc
+
+
+def conjugate(x: QuadElement) -> QuadElement:
+    """The other root of the minimal polynomial: lam -> P - lam, which is
+    the Frobenius x -> x^p (tested property)."""
+    p = x.ctx.p
+    return QuadElement((x.c0 + x.c1 * x.ctx.P) % p, (-x.c1) % p, x.ctx)
+
+
+def norm(x: QuadElement) -> int:
+    """Nr(x) = x * conjugate(x) = c0^2 + P*c0*c1 + Q*c1^2, which lands in
+    the base field: the lam-component cancels, and that is checked."""
+    prod = q_mul(x, conjugate(x))
+    _check(prod.c1 == 0, f"norm of {x} in F_p", x.ctx.p)
+    return prod.c0
+
+
+def ext_order(x: QuadElement) -> int:
+    """Multiplicative order l of x in F_{p^2}^x, read off its norm.
+
+    x^p is the conjugate of x, so x^{p+1} = norm(x) lies in F_p^x, and
+    n = ord(norm(x)) = l / gcd(l, p+1).  Then l = n*g with g = gcd(l, p+1),
+    and since n | l, y = x^n has order l / n = g, a divisor of p+1.  So
+    l = n * ord(y), where ord(y) is found by stripping the primes of p+1
+    alone; least_dividing raises BadGroupOrder unless y^{p+1} = 1.
+    """
+    if x.is_zero():
+        raise NotInvertible("order of 0 is undefined")
+    p = x.ctx.p
+    one = x.ctx.one()
+    n = multiplicative_order(norm(x), p)
+    y = q_pow(x, n)
+    return n * least_dividing(factorize(p + 1), lambda t: q_pow(y, t) == one)
+
+
 def check_eigen_invariants(p: int, params: RecurrenceParams = FIBONACCI) -> EigenData:
     """Run the proof-ingredient self-checks for one prime and return the data.
 
-    Checks: trace/norm relations of the eigenvalue pair, for inert p that
-    phi' has the order l' that eigen_data sets equal to l, the mutual
-    divisibility l' | 2l and l | 2l', M1 in {M0, 2*M0}, and that the
-    companion matrix has order exactly M1.
+    Checks: trace/norm relations of the eigenvalue pair, for inert p in
+    `QuadContext` and with phi' of the order l' that eigen_data sets equal
+    to l (read by `ext_order`, not by `mat_order`), the mutual divisibility
+    l' | 2l and l | 2l', M1 in {M0, 2*M0}, and that the companion matrix
+    has order exactly M1.
     """
     ed = eigen_data(p, params)
     if ed.splitting == "split":
@@ -128,11 +237,12 @@ def check_eigen_invariants(p: int, params: RecurrenceParams = FIBONACCI) -> Eige
         if params.is_fibonacci:
             _check(ed.phi * ed.phi_prime % p == p - 1, "phi' = -phi^{-1}", p)
     else:
-        s = (ed.phi.c0 + ed.phi_prime.c0) % p, (ed.phi.c1 + ed.phi_prime.c1) % p
+        ctx = QuadContext(p, params.P, params.Q)
+        phi, phi_prime = ctx.element(*ed.phi), ctx.element(*ed.phi_prime)
+        s = (phi.c0 + phi_prime.c0) % p, (phi.c1 + phi_prime.c1) % p
         _check(s == (params.P % p, 0), "trace", p)
-        prod = q_mul(ed.phi, ed.phi_prime)
-        _check((prod.c0, prod.c1) == (params.Q % p, 0), "norm", p)
-        _check(ext_order(ed.phi_prime) == ed.l_prime, "ord(phi') = l'", p)
+        _check(q_mul(phi, phi_prime) == ctx.element(params.Q), "norm", p)
+        _check(ext_order(phi_prime) == ed.l_prime, "ord(phi') = l'", p)
     _check((2 * ed.l) % ed.l_prime == 0, "l' | 2l", p)
     _check((2 * ed.l_prime) % ed.l == 0, "l | 2l'", p)
     _check(ed.M1 in (ed.M0, 2 * ed.M0), "M1 in {M0, 2 M0}", p)

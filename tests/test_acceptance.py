@@ -39,16 +39,19 @@ from fibfield.modarith import (
     legendre,
     multiplicative_order,
 )
-from fibfield.quadext import QuadContext, norm, ext_order
 from fibfield.theorem import eigen_data
 
 from conftest import (
     KNOWN_NONUNIFORM,
+    QuadContext,
     check_eigen_invariants,
+    ext_order,
     naive_order,
     naive_period,
+    norm,
     power_subgroup,
     primes_upto,
+    q_mul,
 )
 
 
@@ -161,8 +164,6 @@ def test_criterion_4_oracle_equivalence():
                 if (c0, c1) == (0, 0):
                     continue
                 x = ctx.element(c0, c1)
-                from fibfield.quadext import q_mul
-
                 acc, t = x, 1
                 while acc != one:
                     acc = q_mul(acc, x)

@@ -44,6 +44,30 @@ class TestAnalyze:
         assert payload["l"] == payload["l_prime"] == 16
         assert payload["mat_order"] == 16
 
+    @pytest.mark.parametrize("argv, stdout", [
+        (["analyze", "7", "--lucas", "3,5", "--json"],
+         '{"config":{"cap":4096,"generator_seed":24301,"params":[3,5]},"kind":"analyze",'
+         '"payload":{"M0":48,"M1":48,"l":48,"l_prime":48,"mat_order":48,"p":7,'
+         '"phi":[0,1],"phi_prime":[3,6],"splitting":"inert"},"schema_version":1}\n'),
+        (["analyze", "7", "--lucas=-3,5", "--json"],
+         '{"config":{"cap":4096,"generator_seed":24301,"params":[-3,5]},"kind":"analyze",'
+         '"payload":{"M0":48,"M1":48,"l":48,"l_prime":48,"mat_order":48,"p":7,'
+         '"phi":[0,1],"phi_prime":[4,6],"splitting":"inert"},"schema_version":1}\n'),
+    ], ids=["3,5", "-3,5"])
+    def test_inert_lucas_exact(self, capsys, argv, stdout):
+        # phi = B and phi' = P - B as coordinates in F_7[B]; l = l' = ord(B) = 48
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (stdout, "")
+
+    def test_negative_p_needs_equals_form(self, capsys):
+        # argparse reads "-3,5" after a space as an option, not as the value of --lucas
+        assert cli.main(["analyze", "7", "--lucas=-3,5"]) == 0
+        assert "phi' = [4, 6]" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["analyze", "7", "--lucas", "-3,5"])
+        assert exit_info.value.code == 2
+        assert "--lucas: expected one argument" in capsys.readouterr().err
+
     def test_special(self):
         (rec,) = records(run_cli("analyze", "5", "--json").stdout)
         payload = rec["payload"]
@@ -389,6 +413,10 @@ HUMAN_OUTPUT = [
                        "  phi = [0, 1], phi' = [1, 6]\n"
                        "  l = 16, l' = 16, M0 = 16, M1 = 16\n"
                        "  matrix order = 16\n"),
+    (["analyze", "7", "--lucas", "3,5"], "p = 7: inert\n"
+                                         "  phi = [0, 1], phi' = [3, 6]\n"
+                                         "  l = 48, l' = 48, M0 = 48, M1 = 48\n"
+                                         "  matrix order = 48\n"),
     (["analyze", "5"], "p = 5 is a special prime for the Fibonacci recurrence\n"
                        "  seed (1, 3)  period 4  values [1, 2, 3, 4]\n"),
     (["analyze", "2"], "p = 2 is a special prime for the Fibonacci recurrence\n"),

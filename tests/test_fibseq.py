@@ -34,10 +34,12 @@ from fibfield.fibseq import (
     star_summary,
     value_set,
 )
-from fibfield.modarith import multiplicative_order
+from fibfield.modarith import legendre, multiplicative_order
 from fibfield.theorem import eigen_data
 
 from conftest import (
+    QuadContext,
+    ext_order,
     naive_orbits,
     naive_period,
     naive_star_summary,
@@ -116,12 +118,32 @@ class TestMatOrder:
                     continue
                 assert mat_order(params, N) == naive_mat_order(params, N)
         # prime N: N = 2, N | D at N = 5 for (1,-1) and (3,1) and at every N for
-        # D = 0, (2,1) and (6,9); D = 9 and 4 are squares, so (1,-2) and (4,3) split
+        # D = 0, (2,1) and (6,9); D = 9 and 4 are squares, so (1,-2) and (4,3) split;
+        # for (3,5), ord_N(Q) is neither 1 nor 2 at inert N, and (1,1), with
+        # x^2 - x + 1 irreducible mod 2, takes N = 2 through the inert case
         for params in (FIBONACCI, RecurrenceParams(3, 1), RecurrenceParams(1, -2),
-                       RecurrenceParams(2, 1), RecurrenceParams(6, 9), RecurrenceParams(4, 3)):
+                       RecurrenceParams(2, 1), RecurrenceParams(6, 9), RecurrenceParams(4, 3),
+                       RecurrenceParams(3, 5), RecurrenceParams(1, 1)):
             for N in primes_upto(300):
                 if params.Q % N:
                     assert mat_order(params, N) == naive_mat_order(params, N), (params, N)
+
+    @pytest.mark.parametrize("P, Q", [(1, -1), (3, 5), (3, 1)])
+    def test_inert_orders_match_field_oracle(self, P, Q):
+        # at an inert p, F_p[B] is F_{p^2} and B is the root lam, so ord(B) is
+        # the order of lam that the test-side F_{p^2} algebra reads off its norm
+        inert = [p for p in primes_upto(4096)[1:] if legendre(P * P - 4 * Q, p) == -1]
+        assert len(inert) > 250
+        assert [p for p in inert
+                if mat_order(RecurrenceParams(P, Q), p) != ext_order(QuadContext(p, P, Q).lam())] == []
+
+    @pytest.mark.parametrize("N, symbol", [(7, 1), (11, -1)], ids=["inert-as-split", "split-as-inert"])
+    def test_wrong_prime_case_raises(self, monkeypatch, N, symbol):
+        # a bound taken from the wrong case is no multiple of ord(B): 16 does not
+        # divide 6 at 7, and 10 does not divide ord_11(-1) * 12 = 24 at 11
+        monkeypatch.setattr(fibseq, "legendre", lambda a, q: symbol)
+        with pytest.raises(BadGroupOrder):
+            mat_order(FIBONACCI, N)
 
     def test_prime_bound_skips_gl2_order(self, monkeypatch):
         # the branch follows the primality of N: only composite N reaches the GL2 bound
@@ -135,8 +157,9 @@ class TestMatOrder:
             mat_order(FIBONACCI, 10)
 
     def test_eigen_orders_on_pool_primes(self):
-        # at the sizes the benchmark serves, the order of B must be lcm(l, l')
-        # from eigen_data's independent algebra (F_p or F_{p^2} arithmetic);
+        # at the sizes the benchmark serves, the order of B must be lcm(l, l'),
+        # and an inert l, which eigen_data reads from mat_order, must be the
+        # order of lam in the test-side F_{p^2} algebra;
         # the ten largest pool primes of each Fibonacci splitting (p = +-1 mod 5 split)
         primes = sorted({int(argv[1]) for argv, _ in reference_pool() if argv[0] == "analyze"})
         split = [p for p in primes if p % 5 in (1, 4)][-10:]
@@ -148,6 +171,8 @@ class TestMatOrder:
             ed = eigen_data(p, params)
             splittings.add(ed.splitting)
             assert mat_order(params, p) == math.lcm(ed.l, ed.l_prime), (params, p)
+            if ed.splitting == "inert":
+                assert ed.l == ext_order(QuadContext(p, params.P, params.Q).lam()), (params, p)
         assert splittings == {"split", "inert"}
 
 

@@ -1,21 +1,16 @@
+"""The F_{p^2} algebra of conftest, the test-side oracle for inert
+eigenvalue orders: ring laws, conjugation, norm and ext_order."""
+
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibfield.errors import BadPrime, ModulusMismatch, NotInvertible, SplitContext
+from fibfield.errors import BadPrime, ModulusMismatch, NotInvertible
 from fibfield.modarith import legendre
-from fibfield.quadext import (
-    QuadContext,
-    conjugate,
-    ext_order,
-    norm,
-    q_mul,
-    q_pow,
-)
 
-from conftest import primes_upto
+from conftest import QuadContext, conjugate, ext_order, norm, primes_upto, q_mul, q_pow
 
 FIB_INERT = [p for p in primes_upto(200) if p > 2 and p % 5 in (2, 3)]
 
@@ -141,7 +136,7 @@ class TestExtOrder:
             ext_order(QuadContext(7, 1, -1).element(0, 0))
 
     def test_split_context_refused(self):
-        with pytest.raises(SplitContext):
+        with pytest.raises(ValueError, match="splits mod"):
             QuadContext(11, 1, -1)  # 11 = 1 mod 5: split
 
     def test_divides_group_order_and_naive(self):
@@ -178,7 +173,7 @@ class TestContext:
             if legendre(5, p) == -1:
                 assert QuadContext(p, 1, -1).p == p
             else:
-                with pytest.raises(SplitContext):
+                with pytest.raises(ValueError, match="splits mod"):
                     QuadContext(p, 1, -1)
 
     def test_rejects_bad_prime(self):
@@ -186,3 +181,7 @@ class TestContext:
             QuadContext(8, 1, 1)
         with pytest.raises(BadPrime, match="^p = 2 is not an odd prime$"):
             QuadContext(2, 1, 1)
+
+    def test_rejects_odd_composite(self):
+        with pytest.raises(BadPrime, match="p = 9 is not an odd prime"):
+            QuadContext(9, 1, -1)

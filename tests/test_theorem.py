@@ -16,7 +16,6 @@ from fibfield.errors import (
 )
 from fibfield.fibseq import FIBONACCI, RecurrenceParams, mat_order, mat_pow, companion_matrix, Mat2
 from fibfield.modarith import mod_inv, multiplicative_order
-from fibfield.quadext import QuadContext, ext_order
 from fibfield.theorem import (
     census,
     cond_order,
@@ -29,7 +28,9 @@ from fibfield.theorem import (
 import conftest
 from conftest import (
     KNOWN_NONUNIFORM,
+    QuadContext,
     check_eigen_invariants,
+    ext_order,
     naive_fib_eigen_orders,
     naive_orbits,
     naive_period,

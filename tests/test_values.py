@@ -5,15 +5,12 @@ import pickle
 
 import pytest
 
-from fibfield.errors import BadPrime
 from fibfield.fibseq import FIBONACCI, RecurrenceParams, SequenceId
 from fibfield.modarith import factorize
-from fibfield.quadext import QuadContext
 
 VALUES = [
     RecurrenceParams(3, 1),
     SequenceId(7, 9, -1, FIBONACCI),
-    QuadContext(7, 1, -1),
     factorize(360),
 ]
 
@@ -40,12 +37,5 @@ def test_sequence_id_reduces_seed():
         SequenceId(0, 1, 1, FIBONACCI)
 
 
-def test_quad_context_rejects_odd_composite():
-    with pytest.raises(BadPrime, match="p = 9 is not an odd prime"):
-        QuadContext(9, 1, -1)
-
-
 def test_repr_names_fields():
-    # error messages such as ModulusMismatch's for quadratic elements embed these reprs
     assert repr(RecurrenceParams(1, -1)) == "RecurrenceParams(P=1, Q=-1)"
-    assert repr(QuadContext(7, 1, -1)) == "QuadContext(p=7, P=1, Q=6)"
