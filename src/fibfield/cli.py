@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import ExitStack
@@ -34,7 +35,6 @@ from .fibseq import (
     SequenceId,
     enumerate_star,
     is_star,
-    mat_order,
     minimal_period,
     value_set,
 )
@@ -157,7 +157,8 @@ def cmd_analyze(args) -> int:
         "l_prime": ed.l_prime,
         "M0": ed.M0,
         "M1": ed.M1,
-        "mat_order": mat_order(params, p),
+        # ord(B): B is diagonalizable at a split p, and at an inert p l = l' = ord(B)
+        "mat_order": math.lcm(ed.l, ed.l_prime),
     }
     return _emit(args, "analyze", payload)
 

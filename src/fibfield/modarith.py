@@ -3,8 +3,9 @@
 Primality is decided by deterministic Miller-Rabin with the fixed base set
 (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37), which is correct for all
 n < 3.3 * 10^24 and in particular for every 64-bit input.  Factorization is
-trial division up to 10^4 followed by Brent's variant of Pollard rho with
-deterministic seeding (c = 1, 2, 3, ... until a factor splits off).
+trial division by the primes below 10^4 followed by Brent's variant of
+Pollard rho with deterministic seeding (c = 1, 2, 3, ... until a factor
+splits off).
 
 Residues are plain ints in least-non-negative form; every function takes the
 modulus explicitly.
@@ -12,6 +13,7 @@ modulus explicitly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from typing import NamedTuple
@@ -22,6 +24,19 @@ from .errors import BadGroupOrder, NotInvertible
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 TRIAL_DIVISION_BOUND = 10_000
+
+
+def _primes_upto(n: int) -> tuple[int, ...]:
+    """The primes <= n, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return tuple(itertools.compress(range(n + 1), sieve))
+
+
+_TRIAL_PRIMES = _primes_upto(TRIAL_DIVISION_BOUND)
 
 
 def _check_width(n: int) -> None:
@@ -130,7 +145,7 @@ def factorize(n: int) -> Factorization:
     _check_width(n)
     original = n
     counts: dict[int, int] = {}
-    for p in range(2, TRIAL_DIVISION_BOUND + 1):
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:

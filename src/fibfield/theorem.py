@@ -40,6 +40,7 @@ from .modarith import (
     divisors,
     factorize,
     is_prime,
+    least_dividing,
     mod_inv,
     multiplicative_order,
     sqrt_mod,
@@ -114,8 +115,10 @@ def eigen_data(p: int, params: RecurrenceParams = FIBONACCI) -> EigenData:
         inv2 = mod_inv(2, p)
         phi = (params.P + r) * inv2 % p
         phi_prime = (params.P - r) * inv2 % p
-        l = multiplicative_order(phi, p)
-        l_prime = multiplicative_order(phi_prime, p)
+        # phi * phi' = Q, a unit mod p, so both lie in F_p^x and their orders divide p - 1
+        group = factorize(p - 1)
+        l = least_dividing(group, lambda t: pow(phi, t, p) == 1)
+        l_prime = least_dividing(group, lambda t: pow(phi_prime, t, p) == 1)
         return EigenData(p, "split", phi, phi_prime, l, l_prime)
     # phi = B in F_p[B], so l = ord(B); phi' = phi^p by Frobenius, and
     # gcd(p, p^2 - 1) = 1, so l' = l

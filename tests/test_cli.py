@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fibfield import cli, fibseq
+from fibfield import cli, fibseq, modarith, theorem
 from fibfield.errors import InternalInvariantViolation
 from fibfield.theorem import verify_main
 
@@ -87,6 +87,39 @@ class TestAnalyze:
         assert payload["splitting"] == splitting
         assert payload["mat_order"] == payload["M1"]
         assert check_eigen_invariants(p).M1 == payload["M1"]
+
+    @pytest.mark.parametrize("p, factored, mat_order_calls", [
+        (2147483579, [2147483578], 0),
+        (2147483647, [2147483646, 2, 2147483648], 1),
+    ], ids=["split", "inert"])
+    def test_each_fact_once(self, monkeypatch, capsys, p, factored, mat_order_calls):
+        # a split p factors p - 1 once for both eigenvalue orders; an inert p
+        # reads l = l' = ord(B) from one mat_order, which factors p - 1 for
+        # ord_p(Q) = 2, then 2 and p + 1; the payload's matrix order is lcm(l, l')
+        calls = []
+        mat_calls = []
+        real_factorize = modarith.factorize
+        real_mat_order = fibseq.mat_order
+
+        def counting_factorize(n):
+            calls.append(n)
+            return real_factorize(n)
+
+        def counting_mat_order(params, N):
+            mat_calls.append(N)
+            return real_mat_order(params, N)
+
+        for module in (modarith, fibseq, theorem):
+            monkeypatch.setattr(module, "factorize", counting_factorize)
+        for module in (fibseq, theorem):
+            monkeypatch.setattr(module, "mat_order", counting_mat_order)
+        # cli no longer imports mat_order; one imported again would be counted too
+        monkeypatch.setattr(cli, "mat_order", counting_mat_order, raising=False)
+        assert cli.main(["analyze", str(p), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert calls == factored
+        assert mat_calls == [p] * mat_order_calls
+        assert payload["mat_order"] == real_mat_order(fibseq.FIBONACCI, p)
 
 
 class TestEnumerate:

@@ -35,7 +35,7 @@ from fibfield.fibseq import (
     value_set,
 )
 from fibfield.modarith import legendre, multiplicative_order
-from fibfield.theorem import eigen_data
+from fibfield.theorem import degeneracy, eigen_data
 
 from conftest import (
     QuadContext,
@@ -174,6 +174,21 @@ class TestMatOrder:
             if ed.splitting == "inert":
                 assert ed.l == ext_order(QuadContext(p, params.P, params.Q).lam()), (params, p)
         assert splittings == {"split", "inert"}
+
+    @pytest.mark.parametrize("params", [FIBONACCI, RecurrenceParams(3, 5), RecurrenceParams(1, -2),
+                                        RecurrenceParams(3, 1)], ids=["1,-1", "3,5", "1,-2", "3,1"])
+    def test_split_order_is_lcm_of_eigen_orders(self, params):
+        # analyze reports lcm(l, l') as the matrix order: at a split p, B has two
+        # distinct eigenvalues in F_p^x and is diagonalizable over F_p
+        split = 0
+        for p in primes_upto(4096)[1:]:
+            if degeneracy(p, params, sweep=False) is not None:
+                continue
+            ed = eigen_data(p, params)
+            if ed.splitting == "split":
+                split += 1
+                assert mat_order(params, p) == math.lcm(ed.l, ed.l_prime), p
+        assert split > 200
 
 
 def trial_factors(n):

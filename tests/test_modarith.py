@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fibfield.errors import BadGroupOrder, NotInvertible
 from fibfield.modarith import (
     MILLER_RABIN_BASES,
+    TRIAL_DIVISION_BOUND,
     Factorization,
     divisors,
     factorize,
@@ -17,6 +18,7 @@ from fibfield.modarith import (
     mod_inv,
     multiplicative_order,
     sqrt_mod,
+    _TRIAL_PRIMES,
 )
 
 from conftest import naive_order, power_subgroup, primes_upto, trial_division_is_prime
@@ -101,6 +103,23 @@ class TestFactorize:
         assert p * p - 1 >= 1 << 62
         with pytest.raises(ValueError):
             factorize(p * p - 1)
+
+    def test_trial_prime_table(self):
+        assert _TRIAL_PRIMES == tuple(p for p in range(TRIAL_DIVISION_BOUND + 1)
+                                      if trial_division_is_prime(p))
+        assert _TRIAL_PRIMES[-1] == 9973
+
+    @pytest.mark.parametrize("n, factors", [
+        (9973**2, ((9973, 2),)),
+        (9973 * 10007, ((9973, 1), (10007, 1))),
+        (10007**2, ((10007, 2),)),
+        (10007 * 10009, ((10007, 1), (10009, 1))),
+        (2 * 10007**3, ((2, 1), (10007, 3))),
+        ((2**31 - 1) ** 2, ((2**31 - 1, 2),)),
+    ], ids=["9973^2", "9973*10007", "10007^2", "10007*10009", "2*10007^3", "(2^31-1)^2"])
+    def test_past_the_prime_table(self, n, factors):
+        # 9973 is the last prime of the trial table; 10007 and 10009 are left to rho
+        assert factorize(n).factors == factors
 
     def test_invalid_factorization_rejected(self):
         with pytest.raises(ValueError):
