@@ -1,8 +1,9 @@
 """Exact modular arithmetic over Z/NZ.
 
-Primality is decided by deterministic Miller-Rabin with the fixed base set
-(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37), which is correct for all
-n < 3.3 * 10^24 and in particular for every 64-bit input.  Factorization is
+Primality of n <= 10^4 is read from a sieve of Eratosthenes; above it,
+deterministic Miller-Rabin with the fixed base set
+(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37) decides it, which is correct for
+all n < 3.3 * 10^24 and in particular for every 64-bit input.  Factorization is
 trial division by the primes below 10^4 followed by Brent's variant of
 Pollard rho with deterministic seeding (c = 1, 2, 3, ... until a factor
 splits off).
@@ -26,17 +27,18 @@ MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 TRIAL_DIVISION_BOUND = 10_000
 
 
-def _primes_upto(n: int) -> tuple[int, ...]:
-    """The primes <= n, by a sieve of Eratosthenes."""
+def _sieve(n: int) -> bytearray:
+    """sieve[k] == 1 iff k is prime, for 0 <= k <= n (Eratosthenes)."""
     sieve = bytearray([1]) * (n + 1)
     sieve[:2] = b"\0\0"
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return tuple(itertools.compress(range(n + 1), sieve))
+    return sieve
 
 
-_TRIAL_PRIMES = _primes_upto(TRIAL_DIVISION_BOUND)
+_SIEVE = _sieve(TRIAL_DIVISION_BOUND)
+_TRIAL_PRIMES = tuple(itertools.compress(range(TRIAL_DIVISION_BOUND + 1), _SIEVE))
 
 
 def _check_width(n: int) -> None:
@@ -54,9 +56,12 @@ def mod_inv(a: int, n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 2^64."""
+    """Read from the sieve for n <= TRIAL_DIVISION_BOUND, deterministic
+    Miller-Rabin above it; exact for all n < 2^64."""
     if n < 2:
         return False
+    if n <= TRIAL_DIVISION_BOUND:
+        return _SIEVE[n] == 1
     _check_width(n)
     # trial division by the bases leaves n > 37, so no base is a multiple of n
     for p in MILLER_RABIN_BASES:

@@ -484,6 +484,27 @@ class TestColdStart:
                            env=dict(os.environ, PYTHONPATH=src))
         assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
 
+    @pytest.mark.parametrize("argv,code", [("verify 3 7", 0), ("verify 3 17", 1),
+                                           ("verify 5 3", 2)])
+    def test_exit_freezes_heap_and_runs_atexit(self, argv, code):
+        # the handler runs after python -m fibfield's last statement, so it
+        # sees the heap frozen and the exit code is main's
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = ("import atexit, gc, runpy, sys\n"
+                  "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+                  "runpy.run_module('fibfield', run_name='__main__', alter_sys=True)\n")
+        r = subprocess.run([sys.executable, "-c", script, *argv.split()], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert r.returncode == code
+        assert r.stderr.endswith("True\n")
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        import gc
+        before = gc.get_freeze_count()
+        assert cli.main(["verify", "3", "30", "--json"]) == 1
+        assert capsys.readouterr().out
+        assert gc.get_freeze_count() == before
+
 
 class TestJsonDiscipline:
     def test_roundtrip_byte_identical(self):

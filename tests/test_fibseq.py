@@ -384,6 +384,19 @@ class TestEnumerateStar:
 ODD_PRIMES_TO_60 = [p for p in primes_upto(60) if p > 2]
 
 
+class _GuardedLineMap(list):
+    """A line map that fails the test, rather than hang it, once the walk
+    has looked up more lines than there are."""
+
+    lookups = 0
+
+    def __getitem__(self, r):
+        self.lookups += 1
+        if self.lookups > len(self):
+            raise RuntimeError("the line walk loops")
+        return super().__getitem__(r)
+
+
 class TestStarSummary:
     @given(st.sampled_from(ODD_PRIMES_TO_60), st.integers(-60, 60), st.integers(-60, 60))
     @settings(max_examples=80, deadline=None)
@@ -446,17 +459,18 @@ class TestStarSummary:
         # form one orbit from 3; a map sending 3 onto the line 1 is no
         # permutation, and the walk from 3 meets a line already walked and
         # raises rather than loops (the guard fails the test if it loops)
-        class Guarded(list):
-            lookups = 0
-
-            def __getitem__(self, r):
-                self.lookups += 1
-                if self.lookups > len(self):
-                    raise RuntimeError("the line walk loops")
-                return super().__getitem__(r)
-
-        leaky = Guarded(_line_map(13, FIBONACCI))
+        leaky = _GuardedLineMap(_line_map(13, FIBONACCI))
         leaky[3] = 1
+        monkeypatch.setattr(fibseq, "_line_map", lambda p, params: leaky)
+        with pytest.raises(InternalInvariantViolation, match="already walked"):
+            star_summary(13)
+
+    def test_line_zero_walk_raises(self, monkeypatch):
+        # the walk of the line 0 only marks its lines, but it still checks
+        # them: sending 8 back onto the line 1 puts the fault on the orbit of
+        # 0, 1, 2, 8, ... itself
+        leaky = _GuardedLineMap(_line_map(13, FIBONACCI))
+        leaky[8] = 1
         monkeypatch.setattr(fibseq, "_line_map", lambda p, params: leaky)
         with pytest.raises(InternalInvariantViolation, match="already walked"):
             star_summary(13)

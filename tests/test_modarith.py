@@ -65,6 +65,23 @@ class TestIsPrime:
         for n in range(1, 3000):
             assert is_prime(n) == trial_division_is_prime(n)
 
+    def test_miller_rabin_oracle(self):
+        # past the sieve, so every n here is decided by Miller-Rabin
+        assert TRIAL_DIVISION_BOUND == 10**4
+        for n in range(10**4 + 1, 12_001):
+            assert is_prime(n) == trial_division_is_prime(n)
+
+    @pytest.mark.parametrize("n", [3215031751, 2152302898747, 3474749660383,
+                                   341550071728321, 3825123056546413051])
+    def test_strong_pseudoprimes_composite(self, n):
+        # strong pseudoprimes to every prime base up to 7, 11, 13, 19 and 31
+        # in turn, so the first base each one fails is 11, 13, 17, 23 and 37
+        assert not is_prime(n)
+
+    def test_sieve_edge(self):
+        assert [is_prime(n) for n in (9973, 10000, 10007, 0, 1, -7)] == [
+            True, False, True, False, False, False]
+
     def test_large(self):
         assert is_prime(2**61 - 1)
         assert not is_prime((2**31 - 1) * (2**19 - 1))
