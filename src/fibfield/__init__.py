@@ -1,7 +1,7 @@
 """Fibonacci and Lucas recurrences over finite fields and residue rings.
 
 verify_main and verify_complementary return the payload dict of one JSONL
-record; Lucas params go through verify_main.
+record; Lucas params go through both.
 """
 
 from .fibseq import FIBONACCI, RecurrenceParams, SequenceId

@@ -2,7 +2,7 @@
 
 Subcommands:
   analyze P            eigenvalues, their orders and the matrix order
-  verify FROM TO       exhaustive per-prime sweep of the three conditions
+  verify FROM TO       per-prime sweep of the conditions; skips p = 2 and p | Q(P^2-4Q)
   enumerate N          zero-free orbit representatives mod N
   period N A1 A2       minimal period / value set of one sequence
 
@@ -166,33 +166,35 @@ def cmd_analyze(args) -> int:
 # ----------------------------------------------------------------- verify
 
 
+def _skipped(p: int, params: RecurrenceParams) -> bool:
+    # p = 2 is no odd prime; for Fibonacci params this skips exactly the special primes 2 and 5
+    return p == 2 or degeneracy(p, params) is not None
+
+
 def _verify_worker(p: int, kind: str, params: RecurrenceParams, cap: int) -> dict:
     """Compute one per-prime record; must stay a module-level function so the
     multiprocessing pool can pickle it."""
-    # p = 2 is no odd prime; for Fibonacci params this skips exactly the special primes 2 and 5
-    if p == 2 or degeneracy(p, params) is not None:
+    if _skipped(p, params):
         reason = "special prime" if params.is_fibonacci else "p divides 2*P*Q*(P^2-4Q)"
         return make_record("skip", {"p": p, "reason": reason}, params, cap)
-    if kind == "verify_complementary":
-        payload = verify_complementary(p)
-    else:
-        payload = verify_main(p, params)
-    return make_record(kind, payload, params, cap)
+    sweep = verify_complementary if kind == "verify_complementary" else verify_main
+    return make_record(kind, sweep(p, params), params, cap)
 
 
 def _load_cached(path: str, kind: str, params: RecurrenceParams) -> dict[int, dict]:
     """Records in FILE that a sweep of this kind and these params would write,
-    by p: a main, complementary or Lucas sweep never reuses another's."""
+    by p: a main, complementary or Lucas sweep never reuses another's, and a
+    skip only while `_skipped` still skips its p."""
     done: dict[int, dict] = {}
     try:
         with open(path) as fh:
             for line in fh:
                 try:
                     record = json.loads(line)
-                    same = (record["kind"] in ("skip", kind)
-                            and record["config"]["params"] == [params.P, params.Q])
                     p = record["payload"]["p"]
-                except (ValueError, KeyError, TypeError):
+                    same = record["config"]["params"] == [params.P, params.Q] and (
+                        record["kind"] == kind or record["kind"] == "skip" and _skipped(p, params))
+                except (ValueError, KeyError, TypeError, ZeroDivisionError):
                     continue
                 if same and isinstance(p, int):
                     done[p] = record
@@ -211,8 +213,6 @@ def cmd_verify(args) -> int:
         raise ValueError("--jobs must be at least 1")
     if args.stop > cap:
         raise ValueError(f"range end {args.stop} exceeds cap {cap}")
-    if args.complementary and not params.is_fibonacci:
-        raise ValueError("--complementary applies to the Fibonacci recurrence only")
     if args.complementary:
         kind = "verify_complementary"
     else:
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ve.add_argument("start", type=int)
     p_ve.add_argument("stop", type=int)
     p_ve.add_argument("--complementary", action="store_true",
-                      help="report the norm-subgroup sweep over m | 2(p+1)")
+                      help="report the norm-subgroup sweep over m | ord_p(Q)(p+1)")
     p_ve.add_argument("--out", metavar="FILE", help="append JSONL records to FILE, "
                       "skipping primes already present")
     p_ve.add_argument("--force", action="store_true", help="recompute cached primes")

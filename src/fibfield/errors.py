@@ -28,8 +28,8 @@ class ModulusMismatch(FibfieldError):
 
 
 class DegenerateDiscriminant(FibfieldError):
-    """p divides the discriminant P^2 - 4Q (repeated eigenvalue), or Q, or
-    in a sweep P: the rule of theorem.degeneracy."""
+    """p divides the discriminant P^2 - 4Q (repeated eigenvalue), or Q:
+    the rule of theorem.degeneracy."""
 
 
 class InternalInvariantViolation(FibfieldError):

@@ -14,15 +14,16 @@ as a hard failure (exit 1) either way.  The same function sweeps a Lucas
 recurrence (params other than FIBONACCI), where the equivalence is only
 reported: theorem_proven is False.
 
-verify_complementary does the analogous sweep over divisors of 2(p+1) for
-the norm-subgroup statement, but only *reports* the verdicts.  F_{p^2}^x is
-cyclic and F_p^x is its only subgroup of order p-1, so the item-(1)
-subgroup of order m lies in F_p exactly when m | p-1; for every other m the
-value-set reading is recorded as "inapplicable".  There are small primes
-with no zero-free sequence at all where the order condition is still
-satisfiable, so nothing here is asserted as a theorem.
+verify_complementary does the analogous sweep over m | ord_p(Q)*(p+1),
+2(p+1) for Fibonacci, for the norm-subgroup statement, but only *reports*
+the verdicts.  F_{p^2}^x is cyclic and F_p^x is its only subgroup of order
+p-1, so the item-(1) subgroup of order m lies in F_p exactly when m | p-1;
+for every other m the value-set reading is recorded as "inapplicable".
+There are small primes with no zero-free sequence at all where the order
+condition is still satisfiable, so nothing here is asserted as a theorem.
 
-Both sweeps return the payload dict of one JSONL record, keyed by str(m),
+Both sweeps take every odd prime that `degeneracy` passes, as eigen_data
+does, and return the payload dict of one JSONL record, keyed by str(m),
 which the CLI writes as is.  Both also compare the periods that
 star_summary walks with the ones `census` predicts from the eigenvalues,
 and raise InternalInvariantViolation when they differ; the census never
@@ -51,28 +52,26 @@ SPECIAL_PRIMES = (2, 5)
 INAPPLICABLE = "inapplicable"
 
 
-def degeneracy(p: int, params: RecurrenceParams, sweep: bool = True) -> str | None:
+def degeneracy(p: int, params: RecurrenceParams) -> str | None:
     """Why the odd prime p is degenerate for these params, or None.
 
     The one rule behind the verify skip and every DegenerateDiscriminant:
-    p | D gives a repeated eigenvalue and p | Q a singular companion
-    matrix, so `eigen_data` (sweep=False) refuses both; a sweep also leaves
-    out p | P.  For Fibonacci params only p = 5 is degenerate.
+    p | D gives a repeated eigenvalue and p | Q a singular companion matrix.
+    A p | P is swept: B^2 = -Q*I there, which is no degeneracy.  For
+    Fibonacci params only p = 5 is degenerate.
     """
     D = params.discriminant
     if D % p == 0:
         return f"p = {p} divides discriminant {D}"
     if params.Q % p == 0:
         return f"p = {p} divides Q = {params.Q}"
-    if sweep and params.P % p == 0:
-        return f"p = {p} divides P = {params.P}"
     return None
 
 
-def _check_prime(p: int, params: RecurrenceParams, sweep: bool = False) -> None:
+def _check_prime(p: int, params: RecurrenceParams) -> None:
     if p == 2 or not is_prime(p):
         raise BadPrime(f"p = {p} is not an odd prime")
-    reason = degeneracy(p, params, sweep)
+    reason = degeneracy(p, params)
     if reason is not None:
         raise DegenerateDiscriminant(reason)
 
@@ -154,11 +153,10 @@ def census(ed: EigenData) -> set[int]:
 def _sweep_prime(p: int, params: RecurrenceParams) -> tuple[EigenData, set[int], set[int]]:
     """The checks and facts both sweeps start from: the eigenvalue data,
     and the zero-free periods and value-set subgroup orders of star_summary,
-    checked against the census.  Raises BadPrime unless p is an odd prime
-    (the Fibonacci p = 2), then DegenerateDiscriminant (p | P as well; the
+    checked against the census.  Raises, through eigen_data, BadPrime unless
+    p is an odd prime (the Fibonacci p = 2), then DegenerateDiscriminant (the
     Fibonacci p = 5), then CapExceeded from star_summary, which checks the
     sweep cap."""
-    _check_prime(p, params, sweep=True)
     ed = eigen_data(p, params)
     periods, subgroup_ms = star_summary(p, params)
     predicted = census(ed)
@@ -199,19 +197,20 @@ def verify_main(p: int, params: RecurrenceParams = FIBONACCI) -> dict:
     }
 
 
-def verify_complementary(p: int) -> dict:
-    """Record, per m | 2(p+1), the period condition (star_summary), the
-    inert-order condition, and the literal value-set reading of the norm
+def verify_complementary(p: int, params: RecurrenceParams = FIBONACCI) -> dict:
+    """Record, per m | ord_p(Q)*(p+1), the period condition (star_summary),
+    the inert-order condition, and the literal value-set reading of the norm
     subgroup statement, as the record payload.  Never asserts the
     equivalence.
 
-    For inert p the order-m subgroup of the norm subgroup lies in F_p iff
-    m | p-1, and is then the order-m subgroup of F_p^x; the value-set
-    reading is tested only there and is "inapplicable" otherwise.
+    At an inert p, phi^(p+1) = phi*phi' = Q gives l | ord_p(Q)*(p+1), and
+    the order-m subgroup of the norm subgroup lies in F_p iff m | p-1, where
+    it is the order-m subgroup of F_p^x; the value-set reading is tested
+    only there and is "inapplicable" otherwise.
     """
-    ed, periods, subgroup_ms = _sweep_prime(p, FIBONACCI)
+    ed, periods, subgroup_ms = _sweep_prime(p, params)
     inert = ed.splitting == "inert"
-    size = 2 * (p + 1)
+    size = multiplicative_order(params.Q, p) * (p + 1)
     entries: dict[str, dict] = {}
     notes: list[str] = []
     for m in divisors(factorize(size)):

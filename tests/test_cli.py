@@ -235,12 +235,13 @@ class TestVerify:
          "special prime"),
         (["--complementary"], "46d8a5127a8653992425eabed3a5afc3dd344694b15831ef136ea24132fd5b6c",
          "warning: 2 report-only discrepancies (not theorem violations)\n", "special prime"),
-        (["--lucas", "3,1"], "30a305cfe1637258574ee2179a7f35eba28f1e270971a6d738dd62703328283e", "",
+        (["--lucas", "3,1"], "fbe30519abbf5f55ce7318ec9ff7d420e0f0051ed8b64b7b7cbd3e3939e3b3cb",
+         "warning: 1 report-only discrepancies (not theorem violations)\n",
          "p divides 2*P*Q*(P^2-4Q)"),
     ])
     def test_skip_p2_golden(self, extra, digest, err, reason):
         # stdout digest, stderr and exit code of verify 2 12 --json, whose first record
-        # skips p = 2 by gcd(p, 2*P*Q*D) != 1
+        # skips p = 2 by gcd(p, 2*Q*D) != 1; (3, 1) is swept at p = 3, which divides P
         r = run_cli("verify", "2", "12", "--json", *extra)
         assert (r.returncode, r.stderr) == (0, err)
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
@@ -262,10 +263,17 @@ class TestVerify:
         assert (r.returncode, r.stdout, r.stderr) == (
             2, "", "error: range end 5000 exceeds cap 4096\n")
 
-    def test_complementary_with_lucas_rejected(self):
-        r = run_cli("verify", "3", "5", "--complementary", "--lucas", "3,1")
-        assert (r.returncode, r.stdout, r.stderr) == (
-            2, "", "error: --complementary applies to the Fibonacci recurrence only\n")
+    def test_complementary_lucas_golden(self):
+        # stdout digest, stderr and exit code of verify 3 300 --complementary --lucas 2,3
+        # --json: the sweep runs over m | ord_p(3)*(p+1) and only reports
+        r = run_cli("verify", "3", "300", "--complementary", "--lucas", "2,3", "--json")
+        assert (r.returncode, r.stderr) == (
+            0, "warning: 37 report-only discrepancies (not theorem violations)\n")
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+            "f1a243819f811a5c3bec2e5ef20a9114dfa10461018a338e3508bbae1d381ae8")
+        recs = records(r.stdout)
+        assert len(recs) == 61
+        assert {rec["kind"] for rec in recs} == {"skip", "verify_complementary"}
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_rejected(self, jobs):
@@ -336,7 +344,8 @@ class TestVerify:
     @pytest.mark.parametrize("params, digest, err", [
         ("1,-2", "5cc2c48278b43929a8f7883111030dd7b65cecda8a67a8bd715662a280e1cbb2",
          "warning: 7 report-only discrepancies (not theorem violations)\n"),
-        ("3,1", "5e1ae20a390673cd316e9d5866a2eada4449646281b34bf4f280f7d3bed3d2fb", ""),
+        ("3,1", "a300225acb2e0004425b899d2486b47723ddccb67c78f0eb354b0bad420a3603",
+         "warning: 1 report-only discrepancies (not theorem violations)\n"),
         ("2,3", "c20d3d3040190d25444c6f5b3ad3e51ff2d43b197d27ea4a08bc707559fa2042",
          "warning: 21 report-only discrepancies (not theorem violations)\n"),
     ])
@@ -552,6 +561,24 @@ class TestOutCaching:
         fresh = records(run_cli("verify", "3", "30", "--complementary", "--json").stdout)
         assert records(r.stdout) == [rec for rec in fresh if rec["kind"] != "skip"]
         assert len(records(r.stdout)) == 8
+
+    def test_stale_skip_is_swept(self, tmp_path, capsys):
+        # a file written when sweeps also skipped p | P: its skip of p = 3 for
+        # (3, 1) no longer holds, so p = 3 is swept; the skip of p = 5, which
+        # divides D = 5, still holds and is reused; a skip of p = 0 is ignored
+        skip = ('{"config":{"cap":4096,"generator_seed":24301,"params":[3,1]},"kind":"skip",'
+                '"payload":{"p":%d,"reason":"p divides 2*P*Q*(P^2-4Q)"},"schema_version":1}\n')
+        out = tmp_path / "cache.jsonl"
+        out.write_text(skip % 0 + skip % 3 + skip % 5)
+        assert cli.main(["verify", "3", "30", "--lucas", "3,1", "--json"]) == 0
+        fresh = capsys.readouterr()
+        assert cli.main(["verify", "3", "30", "--lucas", "3,1", "--json", "--out", str(out)]) == 0
+        cached = capsys.readouterr()
+        assert cached.err == fresh.err == (
+            "warning: 1 report-only discrepancies (not theorem violations)\n")
+        assert records(cached.out) == [rec for rec in records(fresh.out)
+                                       if rec["payload"]["p"] != 5]
+        assert records(cached.out)[0]["kind"] == "verify_lucas"
 
     def test_cached_failure_still_exits_1(self, tmp_path):
         out = tmp_path / "cache.jsonl"

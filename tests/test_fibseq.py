@@ -182,7 +182,7 @@ class TestMatOrder:
         # distinct eigenvalues in F_p^x and is diagonalizable over F_p
         split = 0
         for p in primes_upto(4096)[1:]:
-            if degeneracy(p, params, sweep=False) is not None:
+            if degeneracy(p, params) is not None:
                 continue
             ed = eigen_data(p, params)
             if ed.splitting == "split":

@@ -271,6 +271,31 @@ class TestVerifyComplementary:
                 expected = frozenset(x.c0 for x in sub) in value_sets
             assert entry["powerset"] == expected, m
 
+    def test_lucas_inert_census(self):
+        # at an inert p, phi^(p+1) = N(phi) = Q, so l | ord_p(Q)*(p+1) and the
+        # order condition holds at m = l alone; the census has the period l
+        # unless B cycles all p+1 lines (e = l / gcd(l, p-1) = p+1), so (2)
+        # and (3) disagree exactly there
+        inert = disagree = 0
+        for P in range(-4, 5):
+            for Q in range(-4, 5):
+                params = RecurrenceParams(P, Q)
+                for p in primes_upto(1000)[1:]:
+                    if not Q or degeneracy(p, params) is not None:
+                        continue
+                    ed = eigen_data(p, params)
+                    if ed.splitting == "split":
+                        continue
+                    size = multiplicative_order(Q, p) * (p + 1)
+                    assert size % ed.l == 0, (P, Q, p)
+                    r = verify_complementary(p, params)
+                    assert [m for m, e in r["entries"].items() if e["order"]] == [str(ed.l)]
+                    one_cycle = ed.l // math.gcd(ed.l, p - 1) == p + 1
+                    assert r["equivalence_23"] is not one_cycle, (P, Q, p)
+                    inert += 1
+                    disagree += one_cycle
+        assert (disagree, inert) == (1178, 4861)
+
 
 class TestCensus:
     @pytest.mark.parametrize("p, periods", [(13, {28}), (17, {36})])
@@ -283,7 +308,7 @@ class TestCensus:
     @settings(max_examples=120, deadline=None)
     def test_naive_oracle_property(self, p, P, Q):
         params = RecurrenceParams(P, Q)
-        assume(degeneracy(p, params, sweep=False) is None)
+        assume(degeneracy(p, params) is None)
         assert census(eigen_data(p, params)) == naive_star_summary(p, P, Q)[0]
 
     @pytest.mark.parametrize("P, Q, e0", [
@@ -296,7 +321,7 @@ class TestCensus:
         # census follows from e0 and the eigenvalue orders alone
         params = RecurrenceParams(P, Q)
         for p in primes_upto(1000)[1:]:
-            if degeneracy(p, params, sweep=False) is not None:
+            if degeneracy(p, params) is not None:
                 continue
             a, b, c, d = 0, 1, -Q % p, P % p  # B^e by plain iteration
             e = 1
@@ -315,8 +340,8 @@ class TestCensus:
 
     def test_square_discriminant_family(self):
         # D = P^2 - 4Q a nonzero square puts both roots in Z, so every
-        # admissible p splits, and the only subgroup value sets of zero-free
-        # orbits are the eigenlines' <phi> and <phi'>
+        # admissible p splits, and at p not dividing P the only subgroup value
+        # sets of zero-free orbits are the eigenlines' <phi> and <phi'>
         pairs = [(P, Q) for P in range(-4, 5) for Q in range(-4, 5)
                  if Q and P * P - 4 * Q > 0 and math.isqrt(P * P - 4 * Q) ** 2 == P * P - 4 * Q]
         checked = 0
@@ -327,10 +352,20 @@ class TestCensus:
                     continue
                 ed = eigen_data(p, params)
                 assert ed.splitting == "split", (P, Q, p)
-                assert fibseq.star_summary(p, params)[1] <= {ed.l, ed.l_prime}, (P, Q, p)
-                checked += 1
-        # the two pairs with P = 0 are skipped at every p
+                if P % p:
+                    assert fibseq.star_summary(p, params)[1] <= {ed.l, ed.l_prime}, (P, Q, p)
+                    checked += 1
+        # the two pairs with P = 0 have p | P at every p
         assert (len(pairs), checked) == (12, 1658)
+
+    def test_square_discriminant_at_p_dividing_p(self):
+        # at p | P the claim above can fail: for (0, -4) mod 5, a_n = -a_{n-2}
+        # and phi, phi' = 3, 2 both have order 4, yet the seed (1, 1) runs
+        # through 1, 1, 4, 4, whose value set is the order-2 subgroup {1, 4}
+        params = RecurrenceParams(0, -4)
+        ed = eigen_data(5, params)
+        assert (ed.splitting, ed.phi, ed.phi_prime, ed.l, ed.l_prime) == ("split", 3, 2, 4, 4)
+        assert fibseq.star_summary(5, params) == naive_star_summary(5, 0, -4) == ({4}, {2, 4})
 
     @pytest.mark.parametrize("sweep", [verify_main, verify_complementary])
     def test_extra_period_raises(self, monkeypatch, sweep):
@@ -445,8 +480,10 @@ class TestVerifyLucas:
         assert r["conditions"][str(ed.l)]["period"]
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateDiscriminant):
-            verify_main(7, RecurrenceParams(7, 1))
+        with pytest.raises(DegenerateDiscriminant, match="divides Q"):
+            verify_main(7, RecurrenceParams(1, 7))
+        with pytest.raises(DegenerateDiscriminant, match="divides discriminant"):
+            verify_main(5, RecurrenceParams(3, 1))
 
     def test_unit_q_literal_failures(self):
         # for Q = +-1 and |P| <= 4 the literal reading fails at exactly these
@@ -454,6 +491,8 @@ class TestVerifyLucas:
         # the order-m subgroup as its value set has a period other than m,
         # so the strict reading (|value set| = period) removes all of them
         expected = {(P, Q, p, m) for p, m, pairs in [
+            # mod 3, (3, 1) is a_n = -a_{n-2}: the seed (1, 1) has value set {1, 2} and period 4
+            (3, 2, [(3, 1), (-3, 1)]),
             (5, 4, [(1, 1), (-4, 1), (2, -1), (-2, -1), (3, -1), (-3, -1)]),
             (13, 12, [(1, -1), (-1, -1), (2, -1), (-2, -1), (4, -1), (-4, -1)]),
             (17, 16, [(1, -1), (-1, -1)]),
@@ -477,6 +516,27 @@ class TestVerifyLucas:
             periods = [len(terms) for terms in naive_orbits(p, P, Q)
                        if 0 not in terms and set(terms) == subgroup]
             assert periods and m not in periods, (P, Q, p, m)
+
+    def test_zero_p_family(self):
+        # (0, Q) is a_n = -Q a_{n-2}, swept at every odd p not dividing Q D = -4Q^3;
+        # its literal failures are powerset alone, so no zero-free orbit with the
+        # order-m subgroup as its value set has period m, and the strict reading
+        # (|value set| = period) removes each of them
+        inconsistent = {}
+        for Q in (1, -1, 2, -2, 3, -3, 4, -4):
+            params = RecurrenceParams(0, Q)
+            inconsistent[Q] = 0
+            for p in primes_upto(1000)[1:]:
+                if degeneracy(p, params) is not None:
+                    continue
+                r = verify_main(p, params)
+                bad = {m: (t["powerset"], t["period"], t["order"])
+                       for m, t in r["conditions"].items() if not uniform(t)}
+                assert set(bad.values()) <= {(True, False, False)}, (Q, p)
+                if Q == 1:
+                    assert list(bad) == ["2"], p
+                inconsistent[Q] += not r["consistent"]
+        assert inconsistent == {1: 167, -1: 0, 2: 121, -2: 117, 3: 110, -3: 110, 4: 111, -4: 71}
 
     def test_period_order_disagreement_from_census(self):
         # (2) and (3) disagree only at a split p, at m = lcm(l, l') when that
@@ -503,36 +563,55 @@ class TestVerifyLucas:
                     else:
                         assert (p - 1) % ed.l != 0, (P, Q, p)
                     assert disagree == predicted, (P, Q, p)
-        assert records == 3588
+        assert records == 3600
 
 
 class TestDegeneracy:
     GRID = [RecurrenceParams(P, Q) for P in range(-6, 7) for Q in range(-6, 7) if Q]
 
-    def test_sweep_rule_is_gcd_with_2PQD(self):
-        # the verify skip: p = 2 or a degenerate odd prime, exactly gcd(p, 2*P*Q*D) != 1
+    def test_sweep_rule_is_gcd_with_2QD(self):
+        # the verify skip: p = 2 or a degenerate odd prime, exactly gcd(p, 2*Q*D) != 1
         for params in self.GRID:
             for p in primes_upto(40):
-                product = 2 * params.P * params.Q * params.discriminant
+                product = 2 * params.Q * params.discriminant
                 assert (p == 2 or degeneracy(p, params) is not None) == (
                     math.gcd(p, product) != 1), (params, p)
+
+    def test_sweeps_at_p_dividing_p_match_naive(self):
+        # p | P gives B^2 = -Q*I and nothing degenerate: both sweeps record
+        # there what a scan of every pair orbit finds
+        checked = 0
+        for params in self.GRID:
+            P, Q = params.P, params.Q
+            for p in primes_upto(90)[1:]:
+                if P % p or degeneracy(p, params) is not None:
+                    continue
+                periods, subgroup_ms = naive_star_summary(p, P, Q)
+                main = verify_main(p, params)["conditions"]
+                assert {int(m) for m, t in main.items() if t["period"]} == {
+                    m for m in periods if (p - 1) % m == 0}, (params, p)
+                assert {int(m) for m, t in main.items() if t["powerset"]} == subgroup_ms
+                entries = verify_complementary(p, params)["entries"]
+                assert {int(m) for m, e in entries.items() if e["period"]} == {
+                    m for m in periods if str(m) in entries}, (params, p)
+                tested = {int(m): e["powerset"] for m, e in entries.items()
+                          if e["powerset"] != "inapplicable"}
+                assert tested == {m: m in subgroup_ms for m in tested}, (params, p)
+                checked += 1
+        assert checked == 322
 
     def test_fibonacci_only_five(self):
         assert [p for p in primes_upto(200)[1:] if degeneracy(p, FIBONACCI)] == [5]
 
     def test_raises_follow_the_rule(self):
-        # verify_main refuses p | P as well; eigen_data only p | Q and p | D
+        # eigen_data and both sweeps refuse exactly the primes degeneracy names
         for params in self.GRID:
             for p in (3, 7):
                 reason = degeneracy(p, params)
                 if reason is None:
+                    assert eigen_data(p, params).p == verify_main(p, params)["p"] == p
+                    assert verify_complementary(p, params)["p"] == p
                     continue
-                with pytest.raises(DegenerateDiscriminant, match=reason):
-                    verify_main(p, params)
-                eigen_reason = degeneracy(p, params, sweep=False)
-                if eigen_reason is None:
-                    assert params.P % p == 0
-                    assert eigen_data(p, params).p == p
-                else:
-                    with pytest.raises(DegenerateDiscriminant, match=eigen_reason):
-                        eigen_data(p, params)
+                for refuse in (eigen_data, verify_main, verify_complementary):
+                    with pytest.raises(DegenerateDiscriminant, match=reason):
+                        refuse(p, params)
